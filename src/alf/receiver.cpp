@@ -1,6 +1,7 @@
 #include "alf/receiver.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "alf/fec.h"
@@ -110,7 +111,7 @@ void AlfReceiver::fail_session() {
   // Release everything: a failed session must hold no memory and schedule
   // no further work. Ids are not individually reported — the session-level
   // failure supersedes per-ADU loss reporting. Note what is NOT cleared:
-  // closed_/closed_prefix_/counts — resume_summary() reads them so a
+  // the closed-id set and counts — resume_summary() reads them so a
   // supervisor can rebuild on what already completed (DESIGN.md §10).
   pending_.clear();
   reassembly_bytes_ = 0;
@@ -125,7 +126,14 @@ void AlfReceiver::fail_session() {
 ResumeSummary AlfReceiver::resume_summary() const {
   ResumeSummary s;
   s.closed_prefix = closed_prefix_;
-  s.closed_above.assign(closed_.begin(), closed_.end());
+  s.closed_above.reserve(closed_above_);
+  for (std::size_t w = 0; w < closed_bits_.size(); ++w) {
+    for (std::uint64_t bits = closed_bits_[w]; bits != 0; bits &= bits - 1) {
+      const std::uint64_t id = closed_base_ + w * 64 + std::countr_zero(bits);
+      // Bits the prefix has already passed may linger; skip them.
+      if (id > closed_prefix_) s.closed_above.push_back(static_cast<std::uint32_t>(id));
+    }
+  }
   s.delivered = delivered_count_;
   s.abandoned = abandoned_count_;
   s.highest_seen = highest_seen_;
@@ -135,8 +143,9 @@ ResumeSummary AlfReceiver::resume_summary() const {
 
 void AlfReceiver::restore(const ResumeSummary& s) {
   closed_prefix_ = s.closed_prefix;
-  closed_.clear();
-  closed_.insert(s.closed_above.begin(), s.closed_above.end());
+  closed_bits_.clear();
+  closed_above_ = 0;
+  for (std::uint32_t id : s.closed_above) mark_closed(id);
   delivered_count_ = s.delivered;
   abandoned_count_ = s.abandoned;
   highest_seen_ = s.highest_seen;
@@ -784,12 +793,50 @@ void AlfReceiver::deliver_chain(std::uint32_t adu_id, const AduName& name,
 
 void AlfReceiver::close_id(std::uint32_t adu_id) {
   nack_counts_.erase(adu_id);  // bookkeeping for closed ids is dead weight
-  closed_.insert(adu_id);
-  while (closed_.contains(closed_prefix_ + 1)) {
-    ++closed_prefix_;
-    closed_.erase(closed_prefix_);  // the prefix representation covers it
-  }
+  mark_closed(adu_id);
   note_progress();
+}
+
+void AlfReceiver::mark_closed(std::uint32_t adu_id) {
+  if (adu_id <= closed_prefix_) return;
+  if (closed_above_ == 0) {
+    if (adu_id == closed_prefix_ + 1) {
+      ++closed_prefix_;  // in order: the prefix alone represents it
+      return;
+    }
+    // First id closed ahead of a gap: anchor bit 0 at the first open id.
+    closed_bits_.clear();
+    closed_base_ = std::uint64_t{closed_prefix_} + 1;
+  }
+  const std::uint64_t bit = adu_id - closed_base_;
+  const std::size_t word = bit / 64;
+  if (word >= closed_bits_.size()) closed_bits_.resize(word + 1, 0);
+  const std::uint64_t mask = std::uint64_t{1} << (bit % 64);
+  if ((closed_bits_[word] & mask) != 0) return;  // already closed
+  closed_bits_[word] |= mask;
+  ++closed_above_;
+
+  // Advance the prefix over the run of closed ids that now follows it.
+  for (;;) {
+    const std::uint64_t next = std::uint64_t{closed_prefix_} + 1 - closed_base_;
+    const std::size_t w = next / 64;
+    if (w >= closed_bits_.size()) break;
+    const auto off = static_cast<unsigned>(next % 64);
+    const auto run = static_cast<unsigned>(std::countr_one(closed_bits_[w] >> off));
+    closed_prefix_ += run;
+    closed_above_ -= run;
+    if (off + run < 64) break;
+  }
+  // Gap filled: the next in-order close takes the prefix-only fast path,
+  // and the next out-of-order one re-anchors the bitmap.
+  if (closed_above_ == 0) return;
+  // Drop words wholly below the prefix, so the span tracks the id window.
+  const std::size_t dead = (std::uint64_t{closed_prefix_} + 1 - closed_base_) / 64;
+  if (dead > 0) {
+    closed_bits_.erase(closed_bits_.begin(),
+                       closed_bits_.begin() + static_cast<std::ptrdiff_t>(dead));
+    closed_base_ += 64 * dead;
+  }
 }
 
 void AlfReceiver::abandon(std::uint32_t adu_id, const Reassembly* r) {

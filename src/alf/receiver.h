@@ -21,7 +21,7 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
+#include <vector>
 
 #include "alf/adu.h"
 #include "alf/session.h"
@@ -376,6 +376,9 @@ class AlfReceiver {
 
   /// Marks an id delivered-or-abandoned and advances the closed prefix.
   void close_id(std::uint32_t adu_id);
+  /// close_id's set half: records `adu_id` in the closed-id set and bumps
+  /// closed_prefix_ over any run of closed ids that now follows it.
+  void mark_closed(std::uint32_t adu_id);
 
   /// Arms whichever maintenance timers the current state warrants.
   void arm_timers();
@@ -394,7 +397,9 @@ class AlfReceiver {
     return !complete_fired_ && !failed_ && (highest_seen_ > 0 || !pending_.empty());
   }
   bool is_closed(std::uint32_t adu_id) const noexcept {
-    return adu_id <= closed_prefix_ || closed_.contains(adu_id);
+    if (adu_id <= closed_prefix_) return true;
+    const std::uint64_t bit = adu_id - closed_base_;
+    return bit / 64 < closed_bits_.size() && ((closed_bits_[bit / 64] >> (bit % 64)) & 1);
   }
 
   EventLoop& loop_;
@@ -411,8 +416,16 @@ class AlfReceiver {
   std::uint64_t flight_id(std::uint32_t adu_id) const noexcept;
 
   std::map<std::uint32_t, Reassembly> pending_;
-  std::set<std::uint32_t> closed_;        ///< closed ids above the prefix
-  std::uint32_t closed_prefix_ = 0;       ///< ids 1..prefix are all closed
+  // Closed-id set. Ids 1..closed_prefix_ are all closed. Above the prefix,
+  // bit i of closed_bits_ (word i/64, bit i%64, LSB-first like
+  // ResumeMessage::bitmap) marks id closed_base_ + i closed. While no id
+  // above the prefix is closed, closes only bump the prefix, so the bitmap
+  // holds no heap until an id closes ahead of a gap. Its span is bounded
+  // by adu_id_window: no id beyond prefix + window is accepted.
+  std::vector<std::uint64_t> closed_bits_;
+  std::uint64_t closed_base_ = 1;     ///< id of bit 0; its word holds prefix + 1
+  std::uint32_t closed_above_ = 0;    ///< bits set above the prefix
+  std::uint32_t closed_prefix_ = 0;   ///< ids 1..prefix are all closed
   std::uint32_t delivered_count_ = 0;
   std::uint32_t abandoned_count_ = 0;
   std::uint32_t highest_seen_ = 0;

@@ -114,7 +114,7 @@ Result<std::uint32_t> AlfSender::stage_adu_pooled(std::uint32_t adu_id,
     return Error{ErrorCode::kLimitExceeded, "retransmit buffer full"};
   }
 
-  names_[adu_id] = name;
+  remember_name(adu_id, name);
 
   BufferedAdu b;
   b.name = name;
@@ -180,7 +180,7 @@ Result<std::uint32_t> AlfSender::stage_adu_prepared(std::uint32_t adu_id,
     return Error{ErrorCode::kLimitExceeded, "retransmit buffer full"};
   }
 
-  names_[adu_id] = name;
+  remember_name(adu_id, name);
 
   BufferedAdu b;
   b.name = name;
@@ -245,7 +245,7 @@ Result<std::uint32_t> AlfSender::stage_adu(std::uint32_t adu_id,
     return Error{ErrorCode::kLimitExceeded, "retransmit buffer full"};
   }
 
-  names_[adu_id] = name;
+  remember_name(adu_id, name);
 
   BufferedAdu b;
   b.name = name;
@@ -264,6 +264,13 @@ Result<std::uint32_t> AlfSender::stage_adu(std::uint32_t adu_id,
   enqueue_adu_fragments(adu_id, /*retransmit=*/false);
   pump();
   return adu_id;
+}
+
+void AlfSender::remember_name(std::uint32_t adu_id, const AduName& name) {
+  // Only a recompute NACK needs the name after the ADU's buffers are gone;
+  // the other policies answer a NACK from store_ (which holds the name) or
+  // not at all, so they keep no per-ADU state past release.
+  if (cfg_.retransmit == RetransmitPolicy::kApplicationRecompute) names_[adu_id] = name;
 }
 
 void AlfSender::set_flight(obs::FlightRecorder* flight) {

@@ -214,6 +214,8 @@ class AlfSender {
   Result<std::uint32_t> stage_adu_prepared(std::uint32_t adu_id,
                                            const AduName& name,
                                            ByteBuffer&& plaintext);
+  /// Records the ADU's name for recompute NACKs (that policy only).
+  void remember_name(std::uint32_t adu_id, const AduName& name);
   void enqueue_adu_fragments(std::uint32_t adu_id, bool retransmit);
   void pump();               ///< sends fragments respecting pacing
   void send_fragment(const PendingFragment& pf);
@@ -255,7 +257,8 @@ class AlfSender {
 
   // ADUs retained for retransmission (policy-dependent).
   std::map<std::uint32_t, BufferedAdu> store_;
-  // Names are kept for all ADUs (cheap) so recompute can be offered.
+  // Every name ever sent, kept only under kApplicationRecompute so a NACK
+  // can ask the application to recompute an ADU the transport let go.
   std::map<std::uint32_t, AduName> names_;
 
   std::deque<PendingFragment> queue_;

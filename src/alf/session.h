@@ -107,7 +107,9 @@ struct SessionConfig {
 
   /// Receiver: ADU ids are only accepted within this window above the
   /// closed prefix, bounding the nack/closed bookkeeping sets and the NACK
-  /// scan range against forged far-future ids. 0 = unlimited.
+  /// scan range against forged far-future ids. It also bounds the span of
+  /// the closed-id bitmap to about window/8 bytes (8 KiB at the default).
+  /// 0 = unlimited, which leaves the bitmap unbounded too.
   std::uint32_t adu_id_window = 1 << 16;
 
   // --- Graceful degradation under overload (DESIGN.md §10.3) ---

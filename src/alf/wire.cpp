@@ -6,6 +6,21 @@ namespace ngp::alf {
 
 namespace {
 
+// Sealed lengths of the control frames: prologue, body, header checksum.
+// Encoders size their frame from these once (one allocation per frame);
+// decoders verify against them.
+constexpr std::size_t kPrologueSize = 4;  // magic(1) type(1) session(2)
+constexpr std::size_t kSealSize = 2;      // header checksum
+constexpr std::size_t kProgressSize = kPrologueSize + 14 + kSealSize;
+constexpr std::size_t kDoneSize = kPrologueSize + 4 + kSealSize;
+constexpr std::size_t kProbeSize = kPrologueSize + 6 + kSealSize;
+constexpr std::size_t nack_size(std::size_t ids) {
+  return kPrologueSize + 2 + ids * 4 + kSealSize;
+}
+constexpr std::size_t resume_size(std::size_t bitmap_len) {
+  return kPrologueSize + 8 + bitmap_len + kSealSize;
+}
+
 /// Writes the common 4-byte prologue.
 void write_prologue(WireWriter& w, MessageType type, std::uint16_t session) {
   w.u8(kMagic);
@@ -13,11 +28,9 @@ void write_prologue(WireWriter& w, MessageType type, std::uint16_t session) {
   w.u16(session);
 }
 
-/// Appends the header checksum over everything written so far.
-void seal_header(ByteBuffer& buf) {
-  const std::uint16_t ck = simd::kernels().internet_checksum(buf.span());
-  buf.append(static_cast<std::uint8_t>(ck >> 8));
-  buf.append(static_cast<std::uint8_t>(ck));
+/// Writes the header checksum over everything written so far.
+void seal_header(const ByteBuffer& buf, WireWriter& w) {
+  w.u16(simd::kernels().internet_checksum(buf.span().first(w.written())));
 }
 
 /// Verifies a sealed header region [0, len); len includes the checksum.
@@ -33,7 +46,7 @@ bool header_ok(ConstBytes frame, std::size_t len) {
 
 ByteBuffer encode_fragment(const DataFragment& f) {
   ByteBuffer out;
-  WireWriter w(out);
+  WireWriter w(out, DataFragment::kHeaderSize + f.payload.size());
   write_prologue(w, MessageType::kData, f.session);
   w.u32(f.adu_id);
   w.u8(static_cast<std::uint8_t>(f.name.ns));
@@ -49,69 +62,68 @@ ByteBuffer encode_fragment(const DataFragment& f) {
   w.u32(f.frag_off);
   w.u16(static_cast<std::uint16_t>(f.payload.size()));
   w.u32(f.adu_checksum);
-  seal_header(out);
-  out.append(f.payload);
+  seal_header(out, w);
+  w.bytes(f.payload);
   return out;
 }
 
 ByteBuffer encode_nack(const NackMessage& m) {
   ByteBuffer out;
-  WireWriter w(out);
+  WireWriter w(out, nack_size(m.adu_ids.size()));
   write_prologue(w, MessageType::kNack, m.session);
   w.u16(static_cast<std::uint16_t>(m.adu_ids.size()));
   for (std::uint32_t id : m.adu_ids) w.u32(id);
-  seal_header(out);
+  seal_header(out, w);
   return out;
 }
 
 ByteBuffer encode_progress(const ProgressMessage& m) {
   ByteBuffer out;
-  WireWriter w(out);
+  WireWriter w(out, kProgressSize);
   write_prologue(w, MessageType::kProgress, m.session);
   w.u32(m.complete_adus);
   w.u32(m.highest_adu_seen);
   w.u32(m.consume_rate_kbps);
   w.u16(m.session_complete ? 1 : 0);
-  seal_header(out);
+  seal_header(out, w);
   return out;
 }
 
 ByteBuffer encode_done(const DoneMessage& m) {
   ByteBuffer out;
-  WireWriter w(out);
+  WireWriter w(out, kDoneSize);
   write_prologue(w, MessageType::kDone, m.session);
   w.u32(m.total_adus);
-  seal_header(out);
+  seal_header(out, w);
   return out;
 }
 
 ByteBuffer encode_resume(const ResumeMessage& m) {
+  // The bitmap travels inside the sealed (checksummed) region, so it is
+  // padded to an even length; trailing pad bits read as "not closed".
+  const std::size_t kept = std::min(m.bitmap.size(), ResumeMessage::kMaxBitmapBytes);
+  const std::size_t n = kept + (kept & 1);
   ByteBuffer out;
-  WireWriter w(out);
+  WireWriter w(out, resume_size(n));
   write_prologue(w, MessageType::kResume, m.session);
   w.u8(m.epoch);
   w.u8(0);  // pad: keeps the sealed region even with an even bitmap
   w.u32(m.closed_prefix);
-  // The bitmap travels inside the sealed (checksummed) region, so it is
-  // padded to an even length; trailing pad bits read as "not closed".
-  std::size_t n = std::min(m.bitmap.size(), ResumeMessage::kMaxBitmapBytes);
-  n += n & 1;
   w.u16(static_cast<std::uint16_t>(n));
-  for (std::size_t i = 0; i < n; ++i) {
-    w.u8(i < m.bitmap.size() ? m.bitmap[i] : 0);
-  }
-  seal_header(out);
+  w.bytes({m.bitmap.data(), kept});
+  if (n != kept) w.u8(0);
+  seal_header(out, w);
   return out;
 }
 
 ByteBuffer encode_probe(const ProbeMessage& m) {
   ByteBuffer out;
-  WireWriter w(out);
+  WireWriter w(out, kProbeSize);
   write_prologue(w, MessageType::kProbe, m.session);
   w.u8(m.epoch);
   w.u8(0);  // pad (even sealed region)
   w.u32(m.seq);
-  seal_header(out);
+  seal_header(out, w);
   return out;
 }
 
@@ -164,7 +176,7 @@ std::optional<Message> decode_message(ConstBytes frame) {
       // Length check BEFORE any allocation: a forged count in a truncated
       // frame must be rejected without sizing a vector to it.
       if (std::size_t{count} * 4 + 2 > r.remaining()) return std::nullopt;
-      const std::size_t sealed = 4 + 2 + std::size_t{count} * 4 + 2;
+      const std::size_t sealed = nack_size(count);
       if (!header_ok(frame, sealed)) return std::nullopt;
       msg.nack.session = session;
       msg.nack.adu_ids.resize(count);
@@ -174,7 +186,7 @@ std::optional<Message> decode_message(ConstBytes frame) {
       return msg;
     }
     case MessageType::kProgress: {
-      if (!header_ok(frame, 4 + 14 + 2)) return std::nullopt;
+      if (!header_ok(frame, kProgressSize)) return std::nullopt;
       msg.progress.session = session;
       std::uint16_t complete_flag = 0;
       if (!r.u32(msg.progress.complete_adus) || !r.u32(msg.progress.highest_adu_seen) ||
@@ -185,7 +197,7 @@ std::optional<Message> decode_message(ConstBytes frame) {
       return msg;
     }
     case MessageType::kDone: {
-      if (!header_ok(frame, 4 + 4 + 2)) return std::nullopt;
+      if (!header_ok(frame, kDoneSize)) return std::nullopt;
       msg.done.session = session;
       if (!r.u32(msg.done.total_adus)) return std::nullopt;
       return msg;
@@ -202,7 +214,7 @@ std::optional<Message> decode_message(ConstBytes frame) {
       }
       // Same forged-length guard as NACK: reject before sizing the bitmap.
       if (std::size_t{bitmap_len} + 2 > r.remaining()) return std::nullopt;
-      const std::size_t sealed = 4 + 8 + bitmap_len + 2;
+      const std::size_t sealed = resume_size(bitmap_len);
       if (!header_ok(frame, sealed)) return std::nullopt;
       msg.resume.session = session;
       msg.resume.bitmap.resize(bitmap_len);
@@ -212,7 +224,7 @@ std::optional<Message> decode_message(ConstBytes frame) {
       return msg;
     }
     case MessageType::kProbe: {
-      if (!header_ok(frame, 4 + 6 + 2)) return std::nullopt;
+      if (!header_ok(frame, kProbeSize)) return std::nullopt;
       std::uint8_t pad = 0;
       msg.probe.session = session;
       if (!r.u8(msg.probe.epoch) || !r.u8(pad) || !r.u32(msg.probe.seq)) {

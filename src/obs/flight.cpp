@@ -25,7 +25,8 @@ constexpr std::string_view kSegmentNames[FlightTable::kSegmentCount] = {
     "engine_queue",       "manipulation", "completion",
 };
 
-void append_json_escaped(std::string& out, std::string_view s) {
+// Used only by the NGP_OBS exporters below; unused when they compile out.
+[[maybe_unused]] void append_json_escaped(std::string& out, std::string_view s) {
   for (char c : s) {
     if (c == '"' || c == '\\') {
       out += '\\';
@@ -55,8 +56,8 @@ double sorted_percentile(const std::vector<double>& sorted, double p) {
 
 /// Appends a sim-time ns value as Chrome trace microseconds ("123.456"),
 /// built from integer arithmetic so the export never depends on
-/// floating-point formatting.
-void append_us(std::string& out, SimTime ns) {
+/// floating-point formatting. NGP_OBS exporters only, like the above.
+[[maybe_unused]] void append_us(std::string& out, SimTime ns) {
   char buf[48];
   std::snprintf(buf, sizeof buf, "%lld.%03lld",
                 static_cast<long long>(ns / 1000),

@@ -9,6 +9,13 @@ ByteBuffer ByteBuffer::from_string(std::string_view s) {
   return b;
 }
 
+WireWriter::WireWriter(ByteBuffer& out, std::size_t size)
+    : out_(out), pos_(out.size()) {
+  if (size != 0) out_.resize(pos_ + size);
+}
+
+void WireWriter::extend(std::size_t n) { out_.resize(pos_ + n); }
+
 ConstBytes ByteBuffer::subspan(std::size_t offset, std::size_t len) const {
   if (offset >= data_.size()) return {};
   len = std::min(len, data_.size() - offset);

@@ -89,33 +89,81 @@ std::string to_hex(ConstBytes bytes);
 /// Parses lowercase/uppercase hex into bytes. Returns empty on bad input.
 ByteBuffer from_hex(std::string_view hex);
 
+/// memcpy that tolerates empty ranges (whose data() may be null — passing
+/// null to memcpy is UB even for n == 0).
+inline void copy_bytes(void* dst, const void* src, std::size_t n) noexcept {
+  if (n != 0) std::memcpy(dst, src, n);
+}
+
+/// Host-endianness helpers for the presentation codecs.
+inline std::uint32_t byteswap32(std::uint32_t v) noexcept {
+  return __builtin_bswap32(v);
+}
+inline std::uint64_t byteswap64(std::uint64_t v) noexcept {
+  return __builtin_bswap64(v);
+}
+
+/// Loads/stores that never violate alignment (compile to single moves).
+inline std::uint32_t load_u32_be(const std::uint8_t* p) noexcept {
+  std::uint32_t v;
+  std::memcpy(&v, p, 4);
+  return byteswap32(v);  // hosts we target are little-endian
+}
+inline void store_u32_be(std::uint8_t* p, std::uint32_t v) noexcept {
+  v = byteswap32(v);
+  std::memcpy(p, &v, 4);
+}
+inline std::uint64_t load_u64_le(const std::uint8_t* p) noexcept {
+  std::uint64_t v;
+  std::memcpy(&v, p, 8);
+  return v;
+}
+inline void store_u64_le(std::uint8_t* p, std::uint64_t v) noexcept {
+  std::memcpy(p, &v, 8);
+}
+
 /// Bounds-safe big-endian writer used by all ngp header codecs.
 ///
 /// Network byte order (big-endian) throughout, matching the conventions the
-/// paper's protocols (TCP, BER, XDR) use on the wire.
+/// paper's protocols (TCP, BER, XDR) use on the wire. Fields are written in
+/// order after the buffer's current end. An encoder that knows its frame
+/// length passes it as `size`: the buffer grows once, and each field is then
+/// one store into that allocation. Writes past `size` grow the buffer.
 class WireWriter {
  public:
-  explicit WireWriter(ByteBuffer& out) : out_(out) {}
+  explicit WireWriter(ByteBuffer& out, std::size_t size = 0);
 
-  void u8(std::uint8_t v) { out_.append(v); }
+  void u8(std::uint8_t v) { put(&v, 1); }
   void u16(std::uint16_t v) {
-    out_.append(static_cast<std::uint8_t>(v >> 8));
-    out_.append(static_cast<std::uint8_t>(v));
+    const std::uint8_t b[2] = {static_cast<std::uint8_t>(v >> 8),
+                               static_cast<std::uint8_t>(v)};
+    put(b, 2);
   }
   void u32(std::uint32_t v) {
-    u16(static_cast<std::uint16_t>(v >> 16));
-    u16(static_cast<std::uint16_t>(v));
+    v = byteswap32(v);
+    put(&v, 4);
   }
   void u64(std::uint64_t v) {
-    u32(static_cast<std::uint32_t>(v >> 32));
-    u32(static_cast<std::uint32_t>(v));
+    v = byteswap64(v);
+    put(&v, 8);
   }
-  void bytes(ConstBytes b) { out_.append(b); }
+  void bytes(ConstBytes b) { put(b.data(), b.size()); }
 
-  std::size_t written() const noexcept { return out_.size(); }
+  /// Buffer length up to the write position.
+  std::size_t written() const noexcept { return pos_; }
 
  private:
+  void put(const void* src, std::size_t n) {
+    if (n > out_.size() - pos_) extend(n);
+    copy_bytes(out_.data() + pos_, src, n);
+    pos_ += n;
+  }
+  // Growth stays out of line: GCC 12 reports false -Wstringop-overflow in
+  // std::vector's regrowth path when it is inlined next to the stores.
+  void extend(std::size_t n);
+
   ByteBuffer& out_;
+  std::size_t pos_;
 };
 
 /// Bounds-safe big-endian reader. All reads report success; a failed read
@@ -168,38 +216,5 @@ class WireReader {
   ConstBytes in_;
   std::size_t pos_ = 0;
 };
-
-/// memcpy that tolerates empty ranges (whose data() may be null — passing
-/// null to memcpy is UB even for n == 0).
-inline void copy_bytes(void* dst, const void* src, std::size_t n) noexcept {
-  if (n != 0) std::memcpy(dst, src, n);
-}
-
-/// Host-endianness helpers for the presentation codecs.
-inline std::uint32_t byteswap32(std::uint32_t v) noexcept {
-  return __builtin_bswap32(v);
-}
-inline std::uint64_t byteswap64(std::uint64_t v) noexcept {
-  return __builtin_bswap64(v);
-}
-
-/// Loads/stores that never violate alignment (compile to single moves).
-inline std::uint32_t load_u32_be(const std::uint8_t* p) noexcept {
-  std::uint32_t v;
-  std::memcpy(&v, p, 4);
-  return byteswap32(v);  // hosts we target are little-endian
-}
-inline void store_u32_be(std::uint8_t* p, std::uint32_t v) noexcept {
-  v = byteswap32(v);
-  std::memcpy(p, &v, 4);
-}
-inline std::uint64_t load_u64_le(const std::uint8_t* p) noexcept {
-  std::uint64_t v;
-  std::memcpy(&v, p, 8);
-  return v;
-}
-inline void store_u64_le(std::uint8_t* p, std::uint64_t v) noexcept {
-  std::memcpy(p, &v, 8);
-}
 
 }  // namespace ngp

@@ -259,7 +259,9 @@ TEST(TraceRecorder, BoundedRingOverwritesOldestAndCountsDrops) {
   rec.set_max_events(4);
   rec.set_enabled(true);
   for (int i = 0; i < 10; ++i) {
-    rec.record(i, 0, "e" + std::to_string(i), static_cast<std::uint64_t>(i));
+    std::string name = "e";  // not "e" + ...: GCC 12 false -Wrestrict
+    name += std::to_string(i);
+    rec.record(i, 0, name, static_cast<std::uint64_t>(i));
   }
 
   const obs::TraceStats st = rec.stats();

@@ -8,8 +8,10 @@
 // dead-forever substrate into exactly one permanent-failure report.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
+#include <set>
 #include <tuple>
 #include <vector>
 
@@ -213,6 +215,144 @@ TEST(ResumeBooks, RestoreOfFullyClosedSessionCompletesImmediately) {
   fx.receiver->set_on_complete([&] { completed = true; });
   fx.receiver->restore(s);
   EXPECT_TRUE(completed);
+}
+
+// ---- Closed-id set -----------------------------------------------------------
+//
+// The receiver keeps ids 1..prefix as one number and the closed ids above it
+// as a 64-bit-word bitmap. resume_summary() exposes both, so these tests
+// check the set against a std::set model through the public API.
+
+/// Prefix and ids-above-it of a reference closed set.
+std::pair<std::uint32_t, std::vector<std::uint32_t>> model_books(
+    const std::set<std::uint32_t>& closed) {
+  std::uint32_t prefix = 0;
+  while (closed.contains(prefix + 1)) ++prefix;
+  std::vector<std::uint32_t> above;
+  for (std::uint32_t id : closed) {
+    if (id > prefix) above.push_back(id);
+  }
+  return {prefix, above};
+}
+
+TEST(ClosedIdSet, OutOfOrderClosesAcrossWordBoundariesAdvancePrefixExactly) {
+  ReceiverFixture fx;
+  auto p = payload_of(32, 3);
+  // Ids 1..300 span five bitmap words. Hold back one id per word boundary
+  // region, close everything else in seeded order, then fill the holes.
+  const std::vector<std::uint32_t> holes = {1, 64, 65, 128, 129, 200, 257};
+  std::vector<std::uint32_t> order;
+  for (std::uint32_t id = 1; id <= 300; ++id) {
+    if (std::find(holes.begin(), holes.end(), id) == holes.end()) order.push_back(id);
+  }
+  Rng rng(17);
+  for (std::size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.uniform(i)]);
+  }
+  order.insert(order.end(), {65, 1, 129, 64, 257, 128, 200});
+
+  std::set<std::uint32_t> model;
+  for (std::uint32_t id : order) {
+    fx.inject(checked_fragment(id, p));
+    model.insert(id);
+    const alf::ResumeSummary s = fx.receiver->resume_summary();
+    const auto [prefix, above] = model_books(model);
+    ASSERT_EQ(s.closed_prefix, prefix) << "after closing " << id;
+    ASSERT_EQ(s.closed_above, above) << "after closing " << id;
+  }
+  EXPECT_EQ(fx.receiver->resume_summary().closed_prefix, 300u);
+  EXPECT_EQ(fx.delivered.size(), 300u);
+
+  // Every id is closed now: a duplicate of any of them is a late copy.
+  const auto late = fx.receiver->stats().fragments_for_done_adus;
+  fx.inject(checked_fragment(200, p));
+  EXPECT_EQ(fx.receiver->stats().fragments_for_done_adus, late + 1);
+}
+
+TEST(ClosedIdSet, ResumeSummaryRoundTripsClosedAboveAcrossWords) {
+  ReceiverFixture fx;
+  auto p = payload_of(32, 4);
+  const std::vector<std::uint32_t> ids = {1, 2, 3, 5, 63, 64, 66, 127, 130, 191, 192, 250, 400};
+  for (std::uint32_t id : ids) fx.inject(checked_fragment(id, p));
+  const alf::ResumeSummary s = fx.receiver->resume_summary();
+  EXPECT_EQ(s.closed_prefix, 3u);
+  const std::vector<std::uint32_t> above = {5, 63, 64, 66, 127, 130, 191, 192, 250, 400};
+  EXPECT_EQ(s.closed_above, above);
+
+  ReceiverFixture fx2;
+  fx2.receiver->restore(s);
+  const alf::ResumeSummary back = fx2.receiver->resume_summary();
+  EXPECT_EQ(back.closed_prefix, s.closed_prefix);
+  EXPECT_EQ(back.closed_above, s.closed_above);
+  EXPECT_EQ(back.delivered, s.delivered);
+
+  // The restored set answers membership: closed ids are late duplicates,
+  // open ones (4, 65) are delivered and 4 advances the prefix to 5.
+  fx2.inject(checked_fragment(130, p));
+  EXPECT_EQ(fx2.receiver->stats().fragments_for_done_adus, 1u);
+  fx2.inject(checked_fragment(65, p));
+  fx2.inject(checked_fragment(4, p));
+  EXPECT_EQ(fx2.delivered.size(), 2u);
+  EXPECT_EQ(fx2.receiver->resume_summary().closed_prefix, 5u);
+}
+
+TEST(ClosedIdSet, NackScanNeverNacksClosedIdAboveThePrefix) {
+  ReceiverFixture fx;
+  auto p = payload_of(32, 5);
+  std::set<std::uint32_t> closed;
+  for (std::uint32_t id = 2; id <= 140; ++id) {
+    if (id % 7 == 0 || id == 64 || id == 65 || id == 128) continue;
+    fx.inject(checked_fragment(id, p));
+    closed.insert(id);
+  }
+  DoneMessage done;
+  done.session = 1;
+  done.total_adus = 150;
+  fx.data.send(alf::encode_done(done).span());
+  fx.loop.run_until(fx.loop.now() + 3 * fx.scfg.nack_retry);
+
+  std::vector<std::uint32_t> first_nack;
+  for (const ByteBuffer& frame : fx.feedback.frames) {
+    auto msg = alf::decode_message(frame.span());
+    ASSERT_TRUE(msg.has_value());
+    if (msg->type != MessageType::kNack) continue;
+    if (first_nack.empty()) first_nack = msg->nack.adu_ids;
+    for (std::uint32_t id : msg->nack.adu_ids) {
+      EXPECT_FALSE(closed.contains(id)) << "NACKed closed id " << id;
+    }
+  }
+  // The first scan asks for exactly the open ids up to DONE's total.
+  std::vector<std::uint32_t> open;
+  for (std::uint32_t id = 1; id <= 150; ++id) {
+    if (!closed.contains(id)) open.push_back(id);
+  }
+  EXPECT_EQ(first_nack, open);
+}
+
+TEST(ClosedIdSet, IdAtWindowEdgeAcceptedOnePastRejected) {
+  SessionConfig cfg;
+  cfg.adu_id_window = 100;
+  ReceiverFixture fx(cfg);
+  auto p = payload_of(32, 6);
+  for (std::uint32_t id = 1; id <= 3; ++id) fx.inject(checked_fragment(id, p));
+  // Prefix 3: ids up to 3 + 100 are in the window.
+  fx.inject(checked_fragment(103, p));
+  EXPECT_EQ(fx.delivered.size(), 4u);
+  EXPECT_EQ(fx.receiver->stats().fragments_out_of_window, 0u);
+  fx.inject(checked_fragment(104, p));
+  EXPECT_EQ(fx.delivered.size(), 4u);
+  EXPECT_EQ(fx.receiver->stats().fragments_out_of_window, 1u);
+  const std::vector<std::uint32_t> above = {103};
+  EXPECT_EQ(fx.receiver->resume_summary().closed_above, above);
+
+  // Filling the gap walks the prefix through the whole window in one run.
+  for (std::uint32_t id = 4; id <= 102; ++id) fx.inject(checked_fragment(id, p));
+  const alf::ResumeSummary s = fx.receiver->resume_summary();
+  EXPECT_EQ(s.closed_prefix, 103u);
+  EXPECT_TRUE(s.closed_above.empty());
+  // The window moved with the prefix: 104 now lies inside it.
+  fx.inject(checked_fragment(104, p));
+  EXPECT_EQ(fx.delivered.size(), 104u);
 }
 
 // ---- Graceful degradation: overload shedding -------------------------------
