@@ -16,6 +16,8 @@
 // Also registers google-benchmark timers for fine-grained statistics.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -167,7 +169,9 @@ void print_table1(ngp::bench::BenchReport& rep) {
 // memory passes. The headline check is the paper's own fusion workload:
 // the fused decrypt+checksum+byteswap kernel on the best tier must clear
 // 1.5x its scalar version, mirroring the 1.5x the paper measured for
-// hand-integrated copy+checksum.
+// hand-integrated copy+checksum. Next to it, the same fused pass over one
+// 16 KiB ADU held in 1446-byte pool segments (the pooled receive path's
+// shape) keeps the cost of segment cuts visible.
 //
 // The last column is the §13 workload: compiled-plan decode of the same
 // bytes as an XDR int-array record. The plan's array step calls the
@@ -193,9 +197,22 @@ void print_kernel_tiers(ngp::bench::BenchReport& rep) {
   record.emplace_back(std::move(values));
   const auto record_wire = presentation::plan_encode(*plan, record);
 
+  // One 16 KiB ADU as the pooled receive path holds it: 1446-byte
+  // fragment segments and a 478-byte last one. The chain column against
+  // the flat fused one shows what the segment cuts cost the keystream.
+  const std::size_t adu = 16 * 1024, frag = 1446;
+  buf::BufferPool pool;
+  buf::BufChain chain;
+  for (std::size_t off = 0; off < adu; off += frag) {
+    const std::size_t len = std::min(frag, adu - off);
+    buf::BufRef seg = pool.alloc(len);
+    std::memcpy(seg.data(), src.data() + off, len);
+    chain.append(buf::Slice{std::move(seg), 0, len});
+  }
+
   struct TierRow {
     simd::KernelTier tier;
-    double copy, cksum, crc, chacha, fused, plan_decode;
+    double copy, cksum, crc, chacha, fused, chain_fused, plan_decode;
   };
   const simd::KernelTier saved = simd::active_tier();
   std::vector<TierRow> rows;
@@ -205,7 +222,7 @@ void print_kernel_tiers(ngp::bench::BenchReport& rep) {
     if (table == nullptr) continue;  // not supported on this host
     simd::set_active_tier(tier);
     const simd::KernelTable& k = *table;
-    TierRow r{tier, 0, 0, 0, 0, 0, 0};
+    TierRow r{tier, 0, 0, 0, 0, 0, 0, 0};
     r.copy = measure_mbps(n, [&] {
       k.copy(src.span(), dst.span());
       benchmark::DoNotOptimize(dst.data());
@@ -220,6 +237,9 @@ void print_kernel_tiers(ngp::bench::BenchReport& rep) {
     r.fused = measure_mbps(n, [&] {
       sink = k.decrypt_checksum_byteswap(key, 0, dst.span());
     });
+    r.chain_fused = measure_mbps(adu, [&] {
+      sink = buf::chain_decrypt_checksum_byteswap(key, chain);
+    });
     if (record_wire.ok()) {
       r.plan_decode = measure_mbps(n, [&] {
         auto out = presentation::plan_decode(*plan, record_wire->span());
@@ -232,12 +252,13 @@ void print_kernel_tiers(ngp::bench::BenchReport& rep) {
   simd::set_active_tier(saved);
 
   ngp::bench::print_header("Kernel tiers: dispatch-table Mb/s per SIMD level");
-  std::printf("  %-8s %10s %10s %10s %10s %14s %12s\n", "tier", "copy", "cksum",
-              "crc32", "chacha20", "dec+ck+swap", "plan(xdr)");
+  std::printf("  %-8s %10s %10s %10s %10s %14s %14s %12s\n", "tier", "copy",
+              "cksum", "crc32", "chacha20", "dec+ck+swap", "chain(16K)",
+              "plan(xdr)");
   for (const auto& r : rows) {
-    std::printf("  %-8s %10.0f %10.0f %10.0f %10.0f %14.0f %12.0f\n",
+    std::printf("  %-8s %10.0f %10.0f %10.0f %10.0f %14.0f %14.0f %12.0f\n",
                 simd::tier_name(r.tier), r.copy, r.cksum, r.crc, r.chacha,
-                r.fused, r.plan_decode);
+                r.fused, r.chain_fused, r.plan_decode);
   }
 
   double scalar_fused = 0, best_fused = 0;
@@ -255,15 +276,16 @@ void print_kernel_tiers(ngp::bench::BenchReport& rep) {
 
   std::string points;
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    char buf[256];
+    char buf[320];
     std::snprintf(buf, sizeof buf,
                   "%s{\"tier\":\"%s\",\"copy_mbps\":%.0f,"
                   "\"internet_checksum_mbps\":%.0f,\"crc32_mbps\":%.0f,"
                   "\"chacha20_mbps\":%.0f,\"fused_decrypt_cksum_swap_mbps\":%.0f,"
+                  "\"chain_decrypt_cksum_swap_mbps\":%.0f,"
                   "\"plan_decode_xdr_mbps\":%.0f}",
                   i ? "," : "", simd::tier_name(rows[i].tier), rows[i].copy,
                   rows[i].cksum, rows[i].crc, rows[i].chacha, rows[i].fused,
-                  rows[i].plan_decode);
+                  rows[i].chain_fused, rows[i].plan_decode);
     points += buf;
   }
   char head[160];

@@ -1,46 +1,14 @@
 #include "buf/chain_ops.h"
 
-#include <array>
+#include <algorithm>
 
 #include "checksum/internet.h"
 #include "simd/dispatch.h"
+#include "simd/kernels_common.h"
 
 namespace ngp::buf {
 
 namespace {
-
-/// Decrypts a segment that begins at ADU byte offset `pos`, absorbing the
-/// plaintext into `acc`. Scalar prefix to the next 64-byte keystream block
-/// boundary, then the fused tier kernel from block (pos+prefix)/64.
-void decrypt_segment(const ChaChaKey& key, std::size_t pos, MutableBytes seg,
-                     InternetChecksum& acc) {
-  const simd::KernelTable& k = simd::kernels();
-  std::size_t intra = pos % 64;
-  std::size_t done = 0;
-  if (intra != 0) {
-    std::array<std::uint8_t, 64> ks;
-    chacha20_block(key, static_cast<std::uint32_t>(pos / 64), ks);
-    const std::size_t prefix = std::min<std::size_t>(64 - intra, seg.size());
-    for (std::size_t i = 0; i < prefix; ++i) seg[i] ^= ks[intra + i];
-    acc.add(seg.subspan(0, prefix));
-    done = prefix;
-  }
-  if (done < seg.size()) {
-    MutableBytes bulk = seg.subspan(done);
-    const std::uint16_t sum = k.decrypt_internet_checksum(
-        key, static_cast<std::uint32_t>((pos + done) / 64), bulk);
-    acc.combine(sum, bulk.size());
-  }
-}
-
-/// End of the byteswap region for an n-byte buffer, matching the flat
-/// Byteswap32Stage tail rule exactly: whole 8-byte words swap both 32-bit
-/// halves, an exactly-4-byte tail swaps, any other tail (1-3 or 5-7
-/// bytes) passes through unchanged. Always a multiple of 4.
-std::size_t swap_region_end(std::size_t n) {
-  const std::size_t r = n % 8;
-  return r == 4 ? n : n - r;
-}
 
 /// Swaps 32-bit units whose bytes may be scattered across segments: bytes
 /// are fed in chain order, pointers to the first three bytes of the
@@ -65,20 +33,39 @@ struct SwapCursor {
   }
 };
 
-/// XORs `bytes` (at chain byte offset `pos`) with the keystream, handling
-/// 64-byte block crossings — the scalar path for sub-unit remainders the
-/// fused kernels cannot take.
-void scalar_decrypt(const ChaChaKey& key, std::size_t pos, MutableBytes bytes) {
-  std::array<std::uint8_t, 64> ks;
-  std::size_t have = static_cast<std::size_t>(-1);
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    const std::size_t p = pos + i;
-    if (p / 64 != have) {
-      have = p / 64;
-      chacha20_block(key, static_cast<std::uint32_t>(have), ks);
+/// Walks the chain in byteswap-unit order for the three swapping passes.
+/// `bulk(body)` gets each segment's unit-aligned run inside the swap
+/// region (whole 32-bit units, counted from chain byte 0); `loose(bytes)`
+/// gets everything else in chain order: the head of a segment that
+/// completes a unit straddling in from the previous one, a unit's first
+/// bytes straddling out, and the flat rule's pass-through tail. Loose
+/// bytes are swapped through a SwapCursor after `loose` has seen them.
+template <class Bulk, class Loose>
+void swap_walk(BufChain& c, Bulk bulk, Loose loose) {
+  const std::size_t region_end = simd::detail::swap_region_end(c.size());
+  SwapCursor cur;
+  std::size_t pos = 0;
+  c.for_each_mutable([&](MutableBytes seg) {
+    std::size_t done = 0;
+    if (pos % 4 != 0 && !seg.empty()) {
+      done = std::min<std::size_t>(4 - pos % 4, seg.size());
+      loose(seg.subspan(0, done));
+      cur.feed(seg.subspan(0, done), pos, region_end);
     }
-    bytes[i] ^= ks[p % 64];
-  }
+    const std::size_t in_region =
+        region_end > pos + done ? region_end - (pos + done) : 0;
+    const std::size_t units =
+        std::min(seg.size() - done, in_region) & ~std::size_t{3};
+    if (units != 0) {
+      bulk(seg.subspan(done, units));
+      done += units;
+    }
+    if (done < seg.size()) {
+      loose(seg.subspan(done));
+      cur.feed(seg.subspan(done), pos + done, region_end);
+    }
+    pos += seg.size();
+  });
 }
 
 }  // namespace
@@ -95,34 +82,20 @@ std::uint16_t chain_internet_checksum(const BufChain& c) {
 
 std::uint16_t chain_decrypt_internet_checksum(const ChaChaKey& key,
                                               BufChain& c) {
+  const simd::KernelTable& k = simd::kernels();
+  simd::KeystreamCursor ks(key, 0);
   InternetChecksum acc;
-  std::size_t pos = 0;
   c.for_each_mutable([&](MutableBytes seg) {
-    if (!seg.empty()) decrypt_segment(key, pos, seg, acc);
-    pos += seg.size();
+    if (seg.empty()) return;
+    acc.combine(k.stream_decrypt_internet_checksum(ks, seg), seg.size());
   });
   return acc.finish();
 }
 
 void chain_chacha20_xor(const ChaChaKey& key, BufChain& c) {
   const simd::KernelTable& k = simd::kernels();
-  std::size_t pos = 0;
-  c.for_each_mutable([&](MutableBytes seg) {
-    std::size_t intra = pos % 64;
-    std::size_t done = 0;
-    if (intra != 0 && !seg.empty()) {
-      std::array<std::uint8_t, 64> ks;
-      chacha20_block(key, static_cast<std::uint32_t>(pos / 64), ks);
-      const std::size_t prefix = std::min<std::size_t>(64 - intra, seg.size());
-      for (std::size_t i = 0; i < prefix; ++i) seg[i] ^= ks[intra + i];
-      done = prefix;
-    }
-    if (done < seg.size()) {
-      k.chacha20_xor(key, static_cast<std::uint32_t>((pos + done) / 64),
-                     seg.subspan(done));
-    }
-    pos += seg.size();
-  });
+  simd::KeystreamCursor ks(key, 0);
+  c.for_each_mutable([&](MutableBytes seg) { k.stream_chacha20_xor(ks, seg); });
 }
 
 std::uint16_t chain_copy_internet_checksum(const BufChain& c,
@@ -142,100 +115,39 @@ std::uint16_t chain_copy_internet_checksum(const BufChain& c,
 
 void chain_byteswap32(BufChain& c) {
   const simd::KernelTable& k = simd::kernels();
-  const std::size_t region_end = swap_region_end(c.size());
-  SwapCursor cur;
-  std::size_t pos = 0;
-  c.for_each_mutable([&](MutableBytes seg) {
-    std::size_t done = 0;
-    // Scalar head: completes a unit straddling in from the previous segment.
-    if (pos % 4 != 0 && !seg.empty()) {
-      done = std::min<std::size_t>(4 - pos % 4, seg.size());
-      cur.feed(seg.subspan(0, done), pos, region_end);
-    }
-    // Unit-aligned bulk inside the swap region: the tier kernel.
-    const std::size_t in_region =
-        region_end > pos + done ? region_end - (pos + done) : 0;
-    const std::size_t bulk =
-        std::min(seg.size() - done, in_region) & ~std::size_t{3};
-    if (bulk != 0) {
-      k.byteswap32(seg.subspan(done, bulk));
-      done += bulk;
-    }
-    // Remainder: the head of a straddling unit and/or the pass-through tail.
-    if (done < seg.size()) cur.feed(seg.subspan(done), pos + done, region_end);
-    pos += seg.size();
-  });
+  swap_walk(
+      c, [&](MutableBytes body) { k.byteswap32(body); }, [](MutableBytes) {});
 }
 
 std::uint16_t chain_checksum_byteswap(BufChain& c) {
   const simd::KernelTable& k = simd::kernels();
-  const std::size_t region_end = swap_region_end(c.size());
   InternetChecksum acc;
-  SwapCursor cur;
-  std::size_t pos = 0;
-  c.for_each_mutable([&](MutableBytes seg) {
-    std::size_t done = 0;
-    if (pos % 4 != 0 && !seg.empty()) {
-      done = std::min<std::size_t>(4 - pos % 4, seg.size());
-      acc.add(seg.subspan(0, done));  // the checksum sees pre-swap bytes
-      cur.feed(seg.subspan(0, done), pos, region_end);
-    }
-    const std::size_t in_region =
-        region_end > pos + done ? region_end - (pos + done) : 0;
-    const std::size_t bulk =
-        std::min(seg.size() - done, in_region) & ~std::size_t{3};
-    if (bulk != 0) {
-      MutableBytes body = seg.subspan(done, bulk);
-      acc.combine(k.checksum_byteswap(body), body.size());
-      done += bulk;
-    }
-    if (done < seg.size()) {
-      MutableBytes rest = seg.subspan(done);
-      acc.add(rest);
-      cur.feed(rest, pos + done, region_end);
-    }
-    pos += seg.size();
-  });
+  // The checksum absorbs loose bytes before the swap cursor moves them.
+  swap_walk(
+      c,
+      [&](MutableBytes body) {
+        acc.combine(k.checksum_byteswap(body), body.size());
+      },
+      [&](MutableBytes bytes) { acc.add(bytes); });
   return acc.finish();
 }
 
 std::uint16_t chain_decrypt_checksum_byteswap(const ChaChaKey& key,
                                               BufChain& c) {
   const simd::KernelTable& k = simd::kernels();
-  const std::size_t region_end = swap_region_end(c.size());
+  simd::KeystreamCursor ks(key, 0);
   InternetChecksum acc;
-  SwapCursor cur;
-  std::size_t pos = 0;
-  c.for_each_mutable([&](MutableBytes seg) {
-    std::size_t done = 0;
-    // Scalar keystream prefix to the next 64-byte block boundary (which is
-    // also a 4-byte swap boundary, so the fused kernel can take over).
-    if (pos % 64 != 0 && !seg.empty()) {
-      done = std::min<std::size_t>(64 - pos % 64, seg.size());
-      MutableBytes prefix = seg.subspan(0, done);
-      scalar_decrypt(key, pos, prefix);
-      acc.add(prefix);
-      cur.feed(prefix, pos, region_end);
-    }
-    const std::size_t in_region =
-        region_end > pos + done ? region_end - (pos + done) : 0;
-    const std::size_t bulk =
-        std::min(seg.size() - done, in_region) & ~std::size_t{3};
-    if (bulk != 0) {
-      MutableBytes body = seg.subspan(done, bulk);
-      acc.combine(k.decrypt_checksum_byteswap(
-                      key, static_cast<std::uint32_t>((pos + done) / 64), body),
-                  body.size());
-      done += bulk;
-    }
-    if (done < seg.size()) {
-      MutableBytes rest = seg.subspan(done);
-      scalar_decrypt(key, pos + done, rest);
-      acc.add(rest);
-      cur.feed(rest, pos + done, region_end);
-    }
-    pos += seg.size();
-  });
+  // Loose bytes take their keystream from the same cursor, in chain order,
+  // so bulk runs always start a multiple of 4 bytes into the keystream.
+  swap_walk(
+      c,
+      [&](MutableBytes body) {
+        acc.combine(k.stream_decrypt_checksum_byteswap(ks, body), body.size());
+      },
+      [&](MutableBytes bytes) {
+        k.stream_chacha20_xor(ks, bytes);
+        acc.add(bytes);
+      });
   return acc.finish();
 }
 

@@ -8,10 +8,11 @@
 // segment lengths fold correctly (tested against the flat scalar reference
 // across every tier in buf_test).
 //
-// ChaCha20 note: the cipher's keystream is positional. A segment that
-// starts at ADU byte offset `pos` is decrypted with a scalar prefix up to
-// the next 64-byte keystream block boundary, then the fused kernel runs
-// from block pos/64 — bit-identical to decrypting the flat buffer.
+// ChaCha20 note: the cipher's keystream is positional. Each decrypting
+// helper threads one simd::KeystreamCursor through the segments, so the
+// keystream of the whole chain is one stream — every block generated once
+// by the tier's vector generator, wherever the segment cuts fall — and the
+// result is bit-identical to decrypting the flat buffer.
 //
 // Ledger discipline matches simd/dispatch.h: these helpers never touch a
 // CostAccount; CALLERS charge the analytic pass counts, so recorded costs

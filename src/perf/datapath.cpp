@@ -173,6 +173,9 @@ RunMeasurement DatapathWorkload::run(std::size_t offered,
   TierGuard tier_guard;
   if (p.scalar) simd::set_active_tier(simd::KernelTier::kScalar);
 
+  // Declared before everything that holds its segments (the loop's queued
+  // frame deliveries, the channel, the endpoints), so it outlives them.
+  buf::BufferPool pool;
   EventLoop loop;
   LinkConfig lc;
   lc.bandwidth_bps = 1e9;
@@ -204,7 +207,6 @@ RunMeasurement DatapathWorkload::run(std::size_t offered,
   alf::AlfSender sender(loop, data, feedback_rx, scfg);
   alf::AlfReceiver receiver(loop, data, feedback_tx, scfg);
 
-  buf::BufferPool pool;
   const bool use_pool = opt_.pooled && !p.no_pool;
   if (use_pool) {
     channel.forward.set_rx_pool(&pool);
@@ -229,9 +231,22 @@ RunMeasurement DatapathWorkload::run(std::size_t offered,
   app.plan = plan.get();
   app.fused = fused;
   app.copy_stage = p.copy_stage;
-  receiver.set_on_adu([&app](Adu&& a) { app.consume(a.name, std::move(a.payload)); });
+  // The application's side of the retransmission contract: a delivered
+  // ADU is released at the sender, so its retransmit buffer holds only
+  // the ADUs in flight however long the run.
+  std::vector<std::uint32_t> adu_ids(opt_.total_adus);
+  const auto release = [&sender, &adu_ids](const AduName& name) {
+    sender.release_adu(adu_ids[name.a]);
+  };
+  receiver.set_on_adu([&app, &release](Adu&& a) {
+    release(a.name);
+    app.consume(a.name, std::move(a.payload));
+  });
   if (use_pool) {
-    receiver.set_on_adu_chain([&app](AduChain&& c) { app.consume_chain(std::move(c)); });
+    receiver.set_on_adu_chain([&app, &release](AduChain&& c) {
+      release(c.name);
+      app.consume_chain(std::move(c));
+    });
   }
 
   // SLO watchdogs: edge-triggered failure detectors that must stay silent
@@ -276,7 +291,7 @@ RunMeasurement DatapathWorkload::run(std::size_t offered,
     const std::size_t n = std::min(burst, opt_.total_adus - sent);
     for (std::size_t b = 0; b < n; ++b, ++sent) {
       record[0] = adu_ints(opt_.seed, sent, opt_.ints_per_adu);
-      sender.send_record(generic_name(sent), *plan, record).value();
+      adu_ids[sent] = sender.send_record(generic_name(sent), *plan, record).value();
     }
     loop.run_until(loop.now() + 10 * kMillisecond);
   }

@@ -34,6 +34,25 @@ enum class KernelTier : std::uint8_t {
 };
 inline constexpr std::size_t kKernelTierCount = 4;
 
+/// A ChaCha20 keystream position carried across kernel calls: the batch of
+/// keystream blocks the tier generated last, how much of it is consumed,
+/// and the next block counter. A chain op threads one cursor through its
+/// segments, so each keystream block of an ADU is generated once however
+/// the ADU is cut. Tiers refill it with their own batch width (one block
+/// for scalar, one block per vector lane otherwise).
+struct KeystreamCursor {
+  static constexpr std::size_t kMaxBatchBytes = 8 * 64;  ///< widest tier
+
+  KeystreamCursor(const ChaChaKey& k, std::uint32_t first_block) noexcept
+      : key(k), counter(first_block) {}
+
+  const ChaChaKey& key;
+  std::uint32_t counter;   ///< block counter of the next batch
+  std::uint32_t used = 0;  ///< bytes of ks consumed
+  std::uint32_t have = 0;  ///< bytes of ks generated
+  alignas(64) std::uint8_t ks[kMaxBatchBytes];
+};
+
 /// One tier's kernel set. All function pointers are non-null in every
 /// compiled-in table. Buffers may be arbitrarily aligned; src/dst of copy
 /// kernels must not overlap; in-place kernels mutate their span directly.
@@ -65,6 +84,17 @@ struct KernelTable {
   std::uint16_t (*decrypt_checksum_byteswap)(const ChaChaKey& key,
                                              std::uint32_t counter,
                                              MutableBytes data);
+
+  // --- keystream-cursor twins of the ChaCha20 kernels above ---
+  // Same byte effects and results, with the keystream taken from (and
+  // left in) `ks` instead of starting at a block counter. The byteswap
+  // variant counts 32-bit units from data[0], so the cursor must sit a
+  // multiple of 4 bytes into the keystream.
+  void (*stream_chacha20_xor)(KeystreamCursor& ks, MutableBytes data);
+  std::uint16_t (*stream_decrypt_internet_checksum)(KeystreamCursor& ks,
+                                                    MutableBytes data);
+  std::uint16_t (*stream_decrypt_checksum_byteswap)(KeystreamCursor& ks,
+                                                    MutableBytes data);
 };
 
 /// The active table. First call resolves cpuid + NGP_FORCE_KERNEL_TIER;

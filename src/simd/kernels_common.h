@@ -1,12 +1,12 @@
 // kernels_common.h — scalar helpers shared by every SIMD tier.
 //
 // The vector kernels (kernels_vec.inc) process whole vector chunks and then
-// fall back to these helpers for the remainder. The helpers reproduce the
-// exact conventions of the scalar ILP stages (ilp/stages.h): little-endian
-// 16-bit word order for the Internet sum, zero-padded partial words, the
-// Byteswap32Stage partial-tail rule, and ChaCha20 keystream consumed in
-// 64-byte block order — so a vector tier that uses them for its tail is
-// byte-identical to the scalar tier by construction.
+// fall back to these helpers for the sub-vector remainder. The helpers
+// reproduce the exact conventions of the scalar ILP stages (ilp/stages.h):
+// little-endian 16-bit word order for the Internet sum, zero-padded partial
+// words, the Byteswap32Stage partial-tail rule, and ChaCha20 keystream
+// consumed in 64-byte block order — so a vector tier that uses them for its
+// tail is byte-identical to the scalar tier by construction.
 #pragma once
 
 #include <algorithm>
@@ -44,12 +44,18 @@ inline std::uint64_t absorb_tail(const std::uint8_t* p, std::size_t n,
   return sum;
 }
 
+/// Folds an exact 16-bit-word sum with end-around carries to at most 16
+/// bits, keeping it congruent mod 0xFFFF (and nonzero when it was).
+inline std::uint64_t fold16(std::uint64_t sum) noexcept {
+  while (sum >> 16) sum = (sum & 0xFFFF) + (sum >> 16);
+  return sum;
+}
+
 /// Folds an exact 16-bit-word sum to the RFC 1071 checksum exactly the way
 /// ChecksumStage::result() does: fold, swap out of LE word space,
 /// complement.
 inline std::uint16_t finish_inet(std::uint64_t sum) noexcept {
-  while (sum >> 16) sum = (sum & 0xFFFF) + (sum >> 16);
-  const auto le = static_cast<std::uint16_t>(sum);
+  const auto le = static_cast<std::uint16_t>(fold16(sum));
   return static_cast<std::uint16_t>(
       ~static_cast<std::uint16_t>((le << 8) | (le >> 8)));
 }
@@ -61,44 +67,46 @@ inline std::uint64_t bswap32_pair(std::uint64_t w) noexcept {
   return (std::uint64_t{hi} << 32) | lo;
 }
 
-/// Scalar remainder of the fused [decrypt] + checksum [+ byteswap] kernels.
-/// `p` must sit at a multiple-of-64 offset from the start of the original
-/// buffer with `counter` advanced accordingly (ChaCha20 block alignment);
-/// processes the last `n` bytes and returns the extended exact sum.
+/// End of the byteswap region of an n-byte buffer under the
+/// Byteswap32Stage tail rule: whole 8-byte words swap both 32-bit halves,
+/// an exactly-4-byte tail swaps, any other tail (1-3 or 5-7 bytes) passes
+/// through unchanged. Always a multiple of 4.
+inline std::size_t swap_region_end(std::size_t n) noexcept {
+  const std::size_t r = n % 8;
+  return r == 4 ? n : n - r;
+}
+
+/// Scalar remainder of the fused [xor] + checksum [+ byteswap] kernels:
+/// processes the `n` bytes at `p` as 8-byte words, then one zero-padded
+/// partial word, and returns `sum` extended by their exact word sum. With
+/// kXor the bytes are first XORed with the `n` keystream bytes at `ks`.
 /// Replicates ilp_fused(EncryptStage?, ChecksumStage, Byteswap32Stage?)
 /// bit for bit: keystream masked to the data length, checksum over the
-/// zero-padded plaintext word, partial tails byteswapped only when exactly
+/// zero-padded plaintext word, a partial tail byteswapped only when exactly
 /// 4 bytes remain.
-inline std::uint64_t fused_tail(const ChaChaKey* key, std::uint32_t counter,
-                                std::uint8_t* p, std::size_t n,
-                                std::uint64_t sum, bool swap) noexcept {
-  std::array<std::uint8_t, 64> ks{};
-  std::size_t off = 0;
-  while (off < n) {
-    if (key != nullptr) chacha20_block(*key, counter++, ks);
-    const std::size_t take = std::min<std::size_t>(64, n - off);
-    std::size_t i = 0;
-    for (; i + 8 <= take; i += 8) {
-      std::uint64_t w = load_u64_le(p + off + i);
-      if (key != nullptr) w ^= load_u64_le(ks.data() + i);
-      sum += sum16_word(w);
-      if (swap) w = bswap32_pair(w);
-      store_u64_le(p + off + i, w);
+template <bool kXor, bool kSwap>
+inline std::uint64_t fused_tail(std::uint8_t* p, const std::uint8_t* ks,
+                                std::size_t n, std::uint64_t sum) noexcept {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t w = load_u64_le(p + i);
+    if constexpr (kXor) w ^= load_u64_le(ks + i);
+    sum += sum16_word(w);
+    if constexpr (kSwap) w = bswap32_pair(w);
+    store_u64_le(p + i, w);
+  }
+  const std::size_t rem = n - i;
+  if (rem > 0) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, p + i, rem);
+    if constexpr (kXor) {
+      std::uint64_t kw = 0;  // only rem keystream bytes: padding stays 0
+      std::memcpy(&kw, ks + i, rem);
+      w ^= kw;
     }
-    const std::size_t rem = take - i;
-    if (rem > 0) {
-      std::uint64_t w = 0;
-      std::memcpy(&w, p + off + i, rem);
-      if (key != nullptr) {
-        std::uint64_t kw = 0;  // only rem keystream bytes: padding stays 0
-        std::memcpy(&kw, ks.data() + i, rem);
-        w ^= kw;
-      }
-      sum += sum16_word(w);
-      if (swap && rem == 4) w = byteswap32(static_cast<std::uint32_t>(w));
-      std::memcpy(p + off + i, &w, rem);
-    }
-    off += take;
+    sum += sum16_word(w);
+    if (kSwap && rem == 4) w = byteswap32(static_cast<std::uint32_t>(w));
+    std::memcpy(p + i, &w, rem);
   }
   return sum;
 }
@@ -116,6 +124,34 @@ inline void chacha_state(std::uint32_t s[16], const ChaChaKey& k,
   for (int i = 0; i < 3; ++i) {
     std::memcpy(&s[13 + i], k.nonce.data() + 4 * i, 4);
   }
+}
+
+/// The one keystream walk every tier's ChaCha20 kernels share. XORs `data`
+/// with the cursor's keystream in pieces that each lie inside one keystream
+/// batch: `refill(c)` generates the next batch once the current one is used
+/// up, and `run(p, ks, n)` XORs (and checksums, and byteswaps) one piece,
+/// returning its exact 16-bit-word sum counted from the piece's first byte.
+/// A piece that starts at an odd offset has its words shifted by one byte,
+/// so its sum counts x256 (mod 0xFFFF) in the sum of the whole span.
+///
+/// Pieces start where batches do, at keystream offsets that are multiples
+/// of 64: a byteswapping `run` sees whole 32-bit units as long as the
+/// cursor's position is a multiple of 4 when the span begins.
+template <class Refill, class Run>
+inline std::uint64_t keystream_walk(KeystreamCursor& c, MutableBytes data,
+                                    Refill refill, Run run) noexcept {
+  std::uint8_t* p = data.data();
+  const std::size_t n = data.size();
+  std::uint64_t sum = 0;
+  for (std::size_t off = 0; off < n;) {
+    if (c.used == c.have) refill(c);
+    const std::size_t take = std::min<std::size_t>(n - off, c.have - c.used);
+    const std::uint64_t s = run(p + off, c.ks + c.used, take);
+    sum += (off & 1) != 0 ? fold16(s) << 8 : s;
+    c.used += static_cast<std::uint32_t>(take);
+    off += take;
+  }
+  return sum;
 }
 
 }  // namespace ngp::simd::detail

@@ -16,6 +16,7 @@
 #include "ilp/kernels.h"
 #include "ilp/stages.h"
 #include "simd/dispatch.h"
+#include "simd/kernels_common.h"
 
 namespace ngp::simd::scalar {
 
@@ -39,7 +40,7 @@ void k_chacha(const ChaChaKey& key, std::uint32_t counter, MutableBytes data) {
 
 void k_byteswap(MutableBytes data) {
   Byteswap32Stage swap;
-  detail::layered_pass(data, swap);
+  ngp::detail::layered_pass(data, swap);
 }
 
 std::uint16_t k_copy_cksum(ConstBytes src, MutableBytes dst) {
@@ -72,6 +73,41 @@ std::uint16_t k_decrypt_cksum_swap(const ChaChaKey& key, std::uint32_t counter,
   return ck.result();
 }
 
+// The keystream-cursor entries walk one ChaCha20 block at a time through
+// the shared scalar word/partial rules (kernels_common.h).
+
+template <bool kSwap>
+std::uint64_t stream(KeystreamCursor& c, MutableBytes data) noexcept {
+  return detail::keystream_walk(
+      c, data,
+      [](KeystreamCursor& k) {
+        std::array<std::uint8_t, 64> block;
+        chacha20_block(k.key, k.counter++, block);
+        std::memcpy(k.ks, block.data(), block.size());
+        k.used = 0;
+        k.have = 64;
+      },
+      [](std::uint8_t* p, const std::uint8_t* ks, std::size_t n) {
+        return detail::fused_tail<true, kSwap>(p, ks, n, 0);
+      });
+}
+
+void k_stream_chacha(KeystreamCursor& c, MutableBytes data) {
+  stream<false>(c, data);
+}
+
+std::uint16_t k_stream_decrypt_cksum(KeystreamCursor& c, MutableBytes data) {
+  return detail::finish_inet(stream<false>(c, data));
+}
+
+std::uint16_t k_stream_decrypt_cksum_swap(KeystreamCursor& c,
+                                          MutableBytes data) {
+  const std::size_t region = detail::swap_region_end(data.size());
+  std::uint64_t sum = stream<true>(c, data.first(region));
+  sum += stream<false>(c, data.subspan(region));
+  return detail::finish_inet(sum);
+}
+
 }  // namespace
 
 extern const KernelTable kTable;
@@ -89,6 +125,9 @@ const KernelTable kTable = {
     .checksum_byteswap = k_cksum_swap,
     .decrypt_internet_checksum = k_decrypt_cksum,
     .decrypt_checksum_byteswap = k_decrypt_cksum_swap,
+    .stream_chacha20_xor = k_stream_chacha,
+    .stream_decrypt_internet_checksum = k_stream_decrypt_cksum,
+    .stream_decrypt_checksum_byteswap = k_stream_decrypt_cksum_swap,
 };
 
 }  // namespace ngp::simd::scalar

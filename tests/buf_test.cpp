@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -476,6 +477,88 @@ TEST(BufChain, ChainDecryptChecksumByteswapMatchesFlatFusedKernel) {
     }
   }
   simd::set_active_tier(saved);
+}
+
+/// Runs the three decrypting chain ops over `wire` cut into `cuts` on every
+/// tier and compares bytes and checksums with the flat scalar kernels.
+void expect_chain_ciphers_match_flat_scalar(const ByteBuffer& wire,
+                                            const std::vector<std::size_t>& cuts,
+                                            std::size_t misalign,
+                                            const std::string& label) {
+  ChaChaKey key;
+  for (std::size_t i = 0; i < key.key.size(); ++i) {
+    key.key[i] = static_cast<std::uint8_t>(0x35 * i + 9);
+  }
+  const simd::KernelTable* scalar = simd::tier_table(simd::KernelTier::kScalar);
+  ByteBuffer xor_ref(wire.span()), cksum_ref(wire.span()), swap_ref(wire.span());
+  scalar->chacha20_xor(key, 0, xor_ref.span());
+  const std::uint16_t cksum = scalar->decrypt_internet_checksum(key, 0, cksum_ref.span());
+  const std::uint16_t swap_cksum =
+      scalar->decrypt_checksum_byteswap(key, 0, swap_ref.span());
+
+  const simd::KernelTier saved = simd::active_tier();
+  for (std::size_t ti = 0; ti < simd::kKernelTierCount; ++ti) {
+    const auto tier = static_cast<simd::KernelTier>(ti);
+    if (simd::tier_table(tier) == nullptr) continue;
+    ASSERT_TRUE(simd::set_active_tier(tier));
+    BufferPool pool;
+    BufChain a = make_chain(pool, wire.span(), cuts, misalign);
+    chain_chacha20_xor(key, a);
+    EXPECT_EQ(a.flatten(), xor_ref) << label << " tier " << ti << " xor";
+    BufChain b = make_chain(pool, wire.span(), cuts, misalign);
+    EXPECT_EQ(chain_decrypt_internet_checksum(key, b), cksum) << label << " tier " << ti;
+    EXPECT_EQ(b.flatten(), cksum_ref) << label << " tier " << ti << " dec_cksum";
+    BufChain c = make_chain(pool, wire.span(), cuts, misalign);
+    EXPECT_EQ(chain_decrypt_checksum_byteswap(key, c), swap_cksum)
+        << label << " tier " << ti;
+    EXPECT_EQ(c.flatten(), swap_ref) << label << " tier " << ti << " dec_cksum_swap";
+  }
+  simd::set_active_tier(saved);
+}
+
+// One keystream per chain: the decrypting chain ops carry the keystream
+// cursor across segment cuts, so every cut position must give the flat
+// scalar result — odd-length segments, cuts at every residue mod 4 and mod
+// 64, segments shorter than a keystream batch, and misaligned slices.
+TEST(BufChain, ChainCiphersMatchFlatScalarPerfbenchLayout) {
+  // 16 KiB in 1446-byte fragment segments, as the pooled receive path
+  // holds a perfbench bulk_xdr record.
+  const auto wire = random_bytes(16384, 0xE0E0);
+  std::vector<std::size_t> cuts(11, 1446);
+  cuts.push_back(478);
+  for (std::size_t misalign : {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
+    expect_chain_ciphers_match_flat_scalar(wire, cuts, misalign,
+                                           "perfbench misalign=" + std::to_string(misalign));
+  }
+}
+
+TEST(BufChain, ChainCiphersMatchFlatScalarOneByteSegments) {
+  const auto wire = random_bytes(700, 0xE1E1);
+  expect_chain_ciphers_match_flat_scalar(wire, std::vector<std::size_t>(700, 1), 2,
+                                         "1-byte segments");
+}
+
+TEST(BufChain, ChainCiphersMatchFlatScalarEveryCutResidue) {
+  for (std::size_t r = 1; r <= 64; ++r) {
+    // Cuts at r, r+61 and r+64 cover every residue mod 64 (so mod 4) as r
+    // runs; the length also walks every residue of the swap tail rule.
+    const std::size_t n = 1100 + r;
+    const auto wire = random_bytes(n, 0xE2E2 + r);
+    expect_chain_ciphers_match_flat_scalar(wire, {r, 61, 3, n - r - 64}, r % 4,
+                                           "residue r=" + std::to_string(r));
+  }
+}
+
+TEST(BufChain, ChainCiphersMatchFlatScalarShortSegments) {
+  for (std::size_t seg : {std::size_t{7}, std::size_t{100}, std::size_t{200},
+                          std::size_t{333}}) {
+    const std::size_t n = 1030;
+    std::vector<std::size_t> cuts(n / seg, seg);
+    if (n % seg != 0) cuts.push_back(n % seg);
+    const auto wire = random_bytes(n, 0xE3E3 + seg);
+    expect_chain_ciphers_match_flat_scalar(wire, cuts, 1,
+                                           "segments of " + std::to_string(seg));
+  }
 }
 
 }  // namespace

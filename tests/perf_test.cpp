@@ -479,5 +479,30 @@ TEST(PerfDatapath, ScalarTierPreservesOutputAndLedger) {
   EXPECT_TRUE(scalar.slo_failures.empty());
 }
 
+// Regression: the workload must be reusable in one process and must not
+// hold every sent ADU. Two inline (engine-off) pooled runs in a row, each
+// sending more than the sender's 16 MiB retransmit-buffer limit: delivered
+// ADUs are released at the sender, and the pool outlives every holder of
+// its segments (a segment recycled into a dead pool left a thread cache
+// that crashed the process at exit).
+TEST(PerfDatapath, PooledRunsTwiceInlinePastRetransmitLimit) {
+  DatapathOptions opt;
+  opt.seed = 12;
+  opt.ints_per_adu = 4096;  // 16 KiB records
+  opt.total_adus = 1100;    // about 17.6 MiB of payload per run
+  opt.engine_workers = 0;
+  ASSERT_TRUE(opt.pooled);
+  DatapathWorkload w(opt);
+
+  const RunMeasurement first = w.run(64, "");
+  const RunMeasurement second = w.run(64, "");
+  EXPECT_EQ(first.ledger.at("adus_delivered"), 1100.0);
+  EXPECT_EQ(first.ledger.at("adus_chain_delivered"), 1100.0);
+  EXPECT_EQ(first.output_hash, second.output_hash);
+  EXPECT_EQ(first.ledger, second.ledger);
+  EXPECT_TRUE(first.slo_failures.empty());
+  EXPECT_TRUE(second.slo_failures.empty());
+}
+
 }  // namespace
 }  // namespace ngp::perf

@@ -15,6 +15,7 @@
 #include <random>
 #include <vector>
 
+#include "checksum/internet.h"
 #include "crypto/chacha20.h"
 #include "ilp/engine.h"
 #include "ilp/pipeline.h"
@@ -203,6 +204,97 @@ TEST(SimdKernels, FusedKernelsMatchScalar) {
                 t->decrypt_checksum_byteswap(key, 0, MutableBytes{got.data(), n}))
           << t->name << " dec_cksum_swap n=" << n << " a=" << a;
       ASSERT_EQ(want, got) << t->name << " dec_cksum_swap n=" << n << " a=" << a;
+    }
+  }
+}
+
+// The ChaCha20 kernels finish every tail from a partly used vector batch:
+// every length up to two of the widest batches (8 lanes x 64 bytes) plus a
+// block hits each residue mod 64 and mod the batch on every tier, at block
+// counters other than 0 (including the 32-bit wrap).
+TEST(SimdKernels, ChaChaKernelsEveryLengthMatchScalar) {
+  const auto* scalar = simd::tier_table(simd::KernelTier::kScalar);
+  constexpr std::size_t kMaxN = 2 * simd::KeystreamCursor::kMaxBatchBytes + 64;
+  const auto backing = random_backing(7, kMaxN);
+  const ChaChaKey key = test_key();
+  for (const auto* t : available_tiers()) {
+    if (t == scalar) continue;
+    for (std::size_t n = 0; n <= kMaxN; ++n) {
+      for (std::uint32_t counter : {0u, 5u, 0xFFFFFFFEu}) {
+        const std::vector<std::uint8_t> src(backing.begin(),
+                                            backing.begin() + static_cast<std::ptrdiff_t>(n));
+        std::vector<std::uint8_t> want = src, got = src;
+        scalar->chacha20_xor(key, counter, MutableBytes{want.data(), n});
+        t->chacha20_xor(key, counter, MutableBytes{got.data(), n});
+        ASSERT_EQ(want, got) << t->name << " chacha n=" << n << " ctr=" << counter;
+
+        want = src;
+        got = src;
+        ASSERT_EQ(scalar->decrypt_internet_checksum(key, counter, MutableBytes{want.data(), n}),
+                  t->decrypt_internet_checksum(key, counter, MutableBytes{got.data(), n}))
+            << t->name << " dec_cksum n=" << n << " ctr=" << counter;
+        ASSERT_EQ(want, got) << t->name << " dec_cksum n=" << n << " ctr=" << counter;
+
+        want = src;
+        got = src;
+        ASSERT_EQ(scalar->decrypt_checksum_byteswap(key, counter, MutableBytes{want.data(), n}),
+                  t->decrypt_checksum_byteswap(key, counter, MutableBytes{got.data(), n}))
+            << t->name << " dec_cksum_swap n=" << n << " ctr=" << counter;
+        ASSERT_EQ(want, got) << t->name << " dec_cksum_swap n=" << n << " ctr=" << counter;
+      }
+    }
+  }
+}
+
+// The keystream-cursor twins, split in two at every point with one cursor
+// carried across the split, must equal the flat scalar kernels — on every
+// tier, scalar included. Split points at odd offsets exercise the checksum
+// parity fold; the byteswap twin gets whole 32-bit units, as chain ops
+// hand it.
+TEST(SimdKernels, KeystreamCursorSplitsMatchFlatScalar) {
+  const auto* scalar = simd::tier_table(simd::KernelTier::kScalar);
+  constexpr std::size_t n = simd::KeystreamCursor::kMaxBatchBytes + 588;
+  const auto backing = random_backing(8, n);
+  const ChaChaKey key = test_key();
+  const std::uint32_t counter = 3;
+
+  std::vector<std::uint8_t> xor_want = backing, cksum_want = backing,
+                            swap_want = backing;
+  scalar->chacha20_xor(key, counter, MutableBytes{xor_want.data(), n});
+  const std::uint16_t cksum_ref =
+      scalar->decrypt_internet_checksum(key, counter, MutableBytes{cksum_want.data(), n});
+  const std::uint16_t swap_ref =
+      scalar->decrypt_checksum_byteswap(key, counter, MutableBytes{swap_want.data(), n});
+  static_assert(n % 4 == 0);
+
+  for (const auto* t : available_tiers()) {
+    for (std::size_t cut = 0; cut <= n; ++cut) {
+      std::vector<std::uint8_t> got = backing;
+      const MutableBytes all{got.data(), n};
+      {
+        simd::KeystreamCursor ks(key, counter);
+        t->stream_chacha20_xor(ks, all.first(cut));
+        t->stream_chacha20_xor(ks, all.subspan(cut));
+        ASSERT_EQ(xor_want, got) << t->name << " stream chacha cut=" << cut;
+      }
+      {
+        got = backing;
+        simd::KeystreamCursor ks(key, counter);
+        InternetChecksum acc;
+        acc.combine(t->stream_decrypt_internet_checksum(ks, all.first(cut)), cut);
+        acc.combine(t->stream_decrypt_internet_checksum(ks, all.subspan(cut)), n - cut);
+        ASSERT_EQ(cksum_ref, acc.finish()) << t->name << " stream dec_cksum cut=" << cut;
+        ASSERT_EQ(cksum_want, got) << t->name << " stream dec_cksum cut=" << cut;
+      }
+      if (cut % 4 == 0) {
+        got = backing;
+        simd::KeystreamCursor ks(key, counter);
+        InternetChecksum acc;
+        acc.combine(t->stream_decrypt_checksum_byteswap(ks, all.first(cut)), cut);
+        acc.combine(t->stream_decrypt_checksum_byteswap(ks, all.subspan(cut)), n - cut);
+        ASSERT_EQ(swap_ref, acc.finish()) << t->name << " stream dec_cksum_swap cut=" << cut;
+        ASSERT_EQ(swap_want, got) << t->name << " stream dec_cksum_swap cut=" << cut;
+      }
     }
   }
 }
