@@ -7,9 +7,9 @@
 // (call id, argument index), unmarshalled in whatever order it arrives.
 //
 // This example uses every layer of the suite on ONE duplex channel:
-//   1. FrameRouter demultiplexes the channel into handshake, data and
-//      feedback planes for two sessions (calls and replies) — §3's
-//      multiplexing function, full duplex;
+//   1. one sessiond dispatcher demultiplexes the channel into the
+//      handshake and two associations (calls and replies) — §3's
+//      multiplexing function, full duplex, at a single demux point;
 //   2. HandshakeInitiator/Responder negotiate the transfer syntax
 //      out-of-band (named by OBJECT IDENTIFIER, answered in BER);
 //   3. RecordSchema-driven marshalling converts typed argument/result
@@ -23,7 +23,6 @@
 #include <memory>
 
 #include "alf/negotiate.h"
-#include "alf/router.h"
 #include "presentation/record.h"
 #include "sessiond/sessiond.h"
 #include "util/rng.h"
@@ -74,27 +73,31 @@ int main() {
   ch.forward.set_loss_rate(0.05);
   ch.reverse.set_loss_rate(0.05);
 
-  // One router per link end: server-bound frames arrive via forward,
-  // client-bound frames via reverse.
+  // One session plane terminates both link ends: server-bound frames
+  // arrive via forward, client-bound frames via reverse, under one peer.
   LinkPath fwd(ch.forward), rev(ch.reverse);
-  alf::FrameRouter at_server(fwd);
-  alf::FrameRouter at_client(rev);
+  sessiond::Sessiond daemon(loop);
+  const std::uint32_t peer = daemon.bind(fwd);
+  daemon.bind(rev, peer);
 
   // ---- 1+2: negotiate the session out of band. The client offers XDR;
-  // the server's capabilities decide.
+  // the server's capabilities decide. Handshake frames carry no session
+  // id, so the dispatcher hands them to both drivers; each ignores the
+  // other's kind.
   alf::Capabilities server_caps;  // defaults: raw/lwts/xdr/ber, no crypto
-  alf::HandshakeResponder responder(loop, at_server.handshake_plane(),
-                                    at_client.handshake_plane(), server_caps);
+  alf::HandshakeResponder responder(loop, nullptr, rev, server_caps);
   alf::SessionConfig offer;
   offer.session_id = kCallSession;
   offer.syntax = TransferSyntax::kXdr;
   offer.checksum = ChecksumKind::kCrc32;
-  alf::HandshakeInitiator initiator(loop, at_server.handshake_plane(),
-                                    at_client.handshake_plane(), offer);
+  alf::HandshakeInitiator initiator(loop, fwd, nullptr, offer);
+  daemon.set_on_handshake([&](std::uint32_t, ConstBytes frame) {
+    responder.handle_frame(frame);
+    initiator.handle_frame(frame);
+  });
 
-  // Both associations are opened through one session plane once the
+  // Both associations are opened through the same session plane once the
   // handshake lands; each handle owns a sender/receiver pair.
-  sessiond::Sessiond daemon(loop);
   sessiond::SessionHandle call_sess, reply_sess;
   TransferSyntax agreed_syntax = TransferSyntax::kRaw;
   Rng rng(7);
@@ -108,12 +111,10 @@ int main() {
                 format_sim_time(loop.now()).c_str(),
                 std::string(transfer_syntax_name(agreed.syntax)).c_str(),
                 std::string(checksum_kind_name(agreed.checksum)).c_str());
-    // The call association: the client transmits on the call-session data
-    // plane, the server receives and NACKs back on its feedback plane. One
-    // open() stands up both endpoints of the association.
-    auto call = daemon.open(agreed, {&at_server.data_plane(kCallSession),
-                                     &at_client.feedback_plane(kCallSession),
-                                     &at_client.feedback_plane(kCallSession)});
+    // The call association: the client transmits on the forward link, the
+    // server receives and NACKs back on the reverse link. One open()
+    // stands up both endpoints of the association.
+    auto call = daemon.open(agreed, {&fwd, &rev, &rev});
     if (!call.ok()) {
       std::printf("server: open failed: %s\n", call.error().to_string().c_str());
       return;
@@ -123,10 +124,7 @@ int main() {
     // The reply association runs the other way on its own session id.
     alf::SessionConfig reply_cfg = agreed;
     reply_cfg.session_id = kReplySession;
-    auto reply = daemon.open(reply_cfg,
-                             {&at_client.data_plane(kReplySession),
-                              &at_server.feedback_plane(kReplySession),
-                              &at_server.feedback_plane(kReplySession)});
+    auto reply = daemon.open(reply_cfg, {&rev, &fwd, &fwd});
     if (!reply.ok()) {
       std::printf("server: open failed: %s\n",
                   reply.error().to_string().c_str());

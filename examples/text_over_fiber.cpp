@@ -6,9 +6,9 @@
 //      paper: "even a universal standard such as ASCII may require
 //      reformatting" — and the conversion CHANGES SIZES, so the sender
 //      names each ADU by its position in the receiver's converted file);
-//   2. association: negotiated full-duplex ALF session (the responder
-//      acknowledges receipt on the reverse direction of the same
-//      association);
+//   2. association: a negotiated ALF session each way through one
+//      session plane (the responder acknowledges receipt on the reverse
+//      direction, over the same framed pipes);
 //   3. substrate: an UNFRAMED byte pipe (§5's WDM fiber, "need not
 //      provide transmission framing at all") with bit corruption, made a
 //      NetPath by the sync-hunting framing sublayer (§3's Framing
@@ -19,10 +19,11 @@
 #include <memory>
 #include <string>
 
-#include "alf/association.h"
 #include "alf/file_sink.h"
+#include "alf/negotiate.h"
 #include "netsim/framing.h"
 #include "presentation/text.h"
+#include "sessiond/sessiond.h"
 #include "util/rng.h"
 
 using namespace ngp;
@@ -59,16 +60,24 @@ int main() {
   FramedBytePath a_to_b(fwd_pipe, 4096);
   FramedBytePath b_to_a(rev_pipe, 4096);
 
-  // Association over the framed fiber.
-  auto receiver_side = alf::Association::listen(loop, b_to_a, a_to_b,
-                                                alf::Capabilities{});
-  // The association negotiates its own session in-band, so the offer is
-  // built (and validated) with the same builder Sessiond::open users use.
+  // One session plane over the framed fiber: A->B frames arrive on
+  // a_to_b, B->A frames on b_to_a, both under one peer.
+  sessiond::Sessiond daemon(loop);
+  const std::uint32_t peer = daemon.bind(a_to_b);
+  daemon.bind(b_to_a, peer);
+
+  // The handshake negotiates the session out of band; the offer is built
+  // (and validated) with the same builder Sessiond::open users use. A
+  // sends on the agreed session id, B answers on the next one.
+  alf::HandshakeResponder responder(loop, nullptr, b_to_a, alf::Capabilities{});
   auto offer = alf::SessionConfig::builder()
                    .nack_delay(15 * kMillisecond)
                    .build();
-  auto sender_side =
-      alf::Association::initiate(loop, a_to_b, b_to_a, offer.value());
+  alf::HandshakeInitiator initiator(loop, a_to_b, nullptr, offer.value());
+  daemon.set_on_handshake([&](std::uint32_t, ConstBytes frame) {
+    responder.handle_frame(frame);
+    initiator.handle_frame(frame);
+  });
 
   // The document and its network form. Conversion changes the size, so
   // region names are computed in CONVERTED (receiver) coordinates — the
@@ -81,34 +90,50 @@ int main() {
 
   alf::FileSink sink(network_doc.size());
   bool all_received = false;
-  receiver_side->set_on_adu([&](Adu&& adu) {
-    if (auto s = sink.place(adu); !s.is_ok()) {
-      std::printf("receiver: place failed: %s\n", s.to_string().c_str());
-    }
-  });
-  receiver_side->set_on_peer_finished([&] {
-    all_received = true;
-    std::printf("t=%-9s receiver: document complete (%llu ADUs placed, %llu "
-                "out of order)\n",
-                format_sim_time(loop.now()).c_str(),
-                static_cast<unsigned long long>(sink.adus_placed()),
-                static_cast<unsigned long long>(sink.out_of_order_placements()));
-    // Acknowledge at application level on the reverse direction.
-    auto thanks = ByteBuffer::from_string("document received, thank you");
-    (void)receiver_side->send_adu(generic_name(1), thanks.span());
-    receiver_side->finish();
-  });
-
   bool acked = false;
-  sender_side->set_on_adu([&](Adu&& adu) {
-    std::printf("t=%-9s sender: peer says \"%.*s\"\n",
-                format_sim_time(loop.now()).c_str(),
-                static_cast<int>(adu.payload.size()),
-                reinterpret_cast<const char*>(adu.payload.data()));
-    acked = true;
+  sessiond::SessionHandle document, thanks;
+
+  // On agreement, open both directions: the document A->B on the agreed
+  // session id, the acknowledgement B->A on the next.
+  responder.set_on_session([&](const alf::SessionConfig& agreed) {
+    alf::SessionConfig back = agreed;
+    back.session_id = static_cast<std::uint16_t>(agreed.session_id + 1);
+    auto fwd = daemon.open(agreed, {&a_to_b, &b_to_a, &b_to_a});
+    auto rev = daemon.open(back, {&b_to_a, &a_to_b, &a_to_b});
+    if (!fwd.ok() || !rev.ok()) {
+      std::printf("open failed\n");
+      return;
+    }
+    document = std::move(fwd.value());
+    thanks = std::move(rev.value());
+
+    document.set_on_adu([&](Adu&& adu) {
+      if (auto s = sink.place(adu); !s.is_ok()) {
+        std::printf("receiver: place failed: %s\n", s.to_string().c_str());
+      }
+    });
+    document.set_on_complete([&] {
+      all_received = true;
+      std::printf("t=%-9s receiver: document complete (%llu ADUs placed, %llu "
+                  "out of order)\n",
+                  format_sim_time(loop.now()).c_str(),
+                  static_cast<unsigned long long>(sink.adus_placed()),
+                  static_cast<unsigned long long>(sink.out_of_order_placements()));
+      // Acknowledge at application level on the reverse direction.
+      auto ack = ByteBuffer::from_string("document received, thank you");
+      (void)thanks.send_adu(generic_name(1), ack.span());
+      thanks.finish();
+    });
+    thanks.set_on_adu([&](Adu&& adu) {
+      std::printf("t=%-9s sender: peer says \"%.*s\"\n",
+                  format_sim_time(loop.now()).c_str(),
+                  static_cast<int>(adu.payload.size()),
+                  reinterpret_cast<const char*>(adu.payload.data()));
+      acked = true;
+    });
   });
 
-  sender_side->set_on_established([&](Result<alf::SessionConfig> r) {
+  initiator.set_on_done([&](Result<alf::SessionConfig> r) {
     if (!r.ok()) {
       std::printf("handshake failed: %s\n", r.error().to_string().c_str());
       return;
@@ -119,14 +144,15 @@ int main() {
     for (std::size_t off = 0; off < network_doc.size(); off += kAdu) {
       const std::size_t len = std::min(kAdu, network_doc.size() - off);
       auto name = FileRegionName{off, len}.to_name();
-      if (!sender_side->send_adu(name, network_doc.subspan(off, len)).ok()) {
+      if (!document.send_adu(name, network_doc.subspan(off, len)).ok()) {
         std::printf("send failed at %zu\n", off);
         return;
       }
     }
-    sender_side->finish();
+    document.finish();
   });
 
+  initiator.start();
   loop.run();
 
   // Convert back to local form and verify.

@@ -212,11 +212,11 @@ bool is_handshake_frame(ConstBytes frame) noexcept {
 
 // ---- Drivers ------------------------------------------------------------------------
 
-HandshakeInitiator::HandshakeInitiator(EventLoop& loop, NetPath& tx, NetPath& rx,
+HandshakeInitiator::HandshakeInitiator(EventLoop& loop, NetPath& tx, NetPath* rx,
                                        SessionConfig offer, SimDuration retry,
                                        int max_retries)
     : loop_(loop), tx_(tx), offer_(offer), retry_(retry), retries_left_(max_retries) {
-  rx.set_handler([this](ConstBytes frame) { on_frame(frame); });
+  if (rx != nullptr) rx->set_handler([this](ConstBytes frame) { on_frame(frame); });
 }
 
 void HandshakeInitiator::start() {
@@ -262,11 +262,11 @@ void HandshakeInitiator::on_frame(ConstBytes frame) {
   }
 }
 
-HandshakeResponder::HandshakeResponder(EventLoop& loop, NetPath& rx, NetPath& tx,
+HandshakeResponder::HandshakeResponder(EventLoop& loop, NetPath* rx, NetPath& tx,
                                        Capabilities caps)
     : tx_(tx), caps_(std::move(caps)) {
   (void)loop;
-  rx.set_handler([this](ConstBytes frame) { on_frame(frame); });
+  if (rx != nullptr) rx->set_handler([this](ConstBytes frame) { on_frame(frame); });
 }
 
 void HandshakeResponder::on_frame(ConstBytes frame) {

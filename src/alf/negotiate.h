@@ -12,9 +12,11 @@
 // AlfSender / AlfReceiver constructors consume.
 //
 // The handshake runs over the same NetPaths the session will use, BEFORE
-// the data endpoints are constructed (they take over the frame handlers).
-// Offer frames are retransmitted on a timer until answered; the whole
-// exchange is encoded in BER, eating our own presentation-layer dog food.
+// the data endpoints are constructed. On a sessiond-bound channel the
+// handshake drivers own no ingress: the dispatcher hands them the frames
+// alf::peek_flow_id cannot route (Sessiond::set_on_handshake). Offer
+// frames are retransmitted on a timer until answered; the whole exchange
+// is encoded in BER, eating our own presentation-layer dog food.
 #pragma once
 
 #include <cstdint>
@@ -83,9 +85,14 @@ bool is_handshake_frame(ConstBytes frame) noexcept;
 class HandshakeInitiator {
  public:
   /// `tx` carries offers out; `rx` delivers the answer (handler
-  /// registered here — release it before constructing data endpoints).
-  HandshakeInitiator(EventLoop& loop, NetPath& tx, NetPath& rx, SessionConfig offer,
+  /// registered here). A null `rx` registers nothing: answers arrive only
+  /// through handle_frame(), as on a sessiond-bound channel.
+  HandshakeInitiator(EventLoop& loop, NetPath& tx, NetPath* rx, SessionConfig offer,
                      SimDuration retry = 50 * kMillisecond, int max_retries = 5);
+
+  /// Demux entry: processes one handshake frame exactly as the path
+  /// handler would (anything but an answer is ignored).
+  void handle_frame(ConstBytes frame) { on_frame(frame); }
 
   /// Completion callback: the agreed config, or an error (refused /
   /// timed out).
@@ -113,7 +120,13 @@ class HandshakeInitiator {
 /// answer also repairs lost answers, since the initiator retransmits).
 class HandshakeResponder {
  public:
-  HandshakeResponder(EventLoop& loop, NetPath& rx, NetPath& tx, Capabilities caps);
+  /// `rx` delivers offers (handler registered here; null = demux-fed
+  /// through handle_frame() only); `tx` carries the answers.
+  HandshakeResponder(EventLoop& loop, NetPath* rx, NetPath& tx, Capabilities caps);
+
+  /// Demux entry: processes one handshake frame exactly as the path
+  /// handler would (anything but an offer is ignored).
+  void handle_frame(ConstBytes frame) { on_frame(frame); }
 
   /// Fires (once) when the first offer has been answered affirmatively.
   void set_on_session(std::function<void(const SessionConfig&)> fn) {

@@ -10,7 +10,6 @@
 #include "ilp/engine.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "presentation/plan.h"
 #include "simd/dispatch.h"
 
@@ -548,7 +547,6 @@ bool AlfReceiver::verify_and_decrypt(std::uint32_t adu_id, Reassembly& r) {
   // (kIntegrated), or one full pass per manipulation (kLayered). The shared
   // executor charges manip_cost_ — this is where the live pipeline's
   // fused-vs-layered pass counts come from.
-  obs::TraceSpan span(trace_, "alf.rx.manip", r.buf.size());
   obs::flight_record(flight_, flight_track_, obs::FlightStage::kManipBegin,
                      flight_id(adu_id), r.buf.size());
   const ManipulationPlan plan = make_plan(adu_id, r);
@@ -565,7 +563,6 @@ bool AlfReceiver::verify_and_decrypt_chain(std::uint32_t adu_id,
   // Same stage-2 recipe over the gather list: fused checksum folds across
   // the slices (load-only when nothing decrypts — no flat staging buffer
   // exists to store into, and that missing store pass is the saving).
-  obs::TraceSpan span(trace_, "alf.rx.manip", chain.size());
   obs::flight_record(flight_, flight_track_, obs::FlightStage::kManipBegin,
                      flight_id(adu_id), chain.size());
   const ManipulationPlan plan = make_plan(adu_id, r);
@@ -628,7 +625,6 @@ void AlfReceiver::offload_adu(std::uint32_t adu_id, Reassembly& r) {
   // now — the job owns the buffer, not the reassembly pool.
   manip_inflight_.emplace(adu_id, InflightManip{r.name, r.syntax});
   ++stats_.adus_engine_offloaded;
-  if (trace_ != nullptr) trace_->instant("alf.rx.engine.submit", r.adu_len);
   obs::flight_record(flight_, flight_track_, obs::FlightStage::kEngineSubmit,
                      flight_id(adu_id), r.adu_len);
 

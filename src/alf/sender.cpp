@@ -5,7 +5,6 @@
 #include "alf/fec.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "simd/dispatch.h"
 
 namespace ngp::alf {
@@ -37,35 +36,6 @@ AlfSender::~AlfSender() {
   if (watchdog_timer_ != 0) loop_.cancel(watchdog_timer_);
 }
 
-ByteBuffer AlfSender::prepare_wire_payload(std::uint32_t adu_id, ConstBytes plaintext,
-                                           std::uint32_t& checksum_out,
-                                           std::uint8_t& flags_out) {
-  obs::TraceSpan span(trace_, "alf.tx.manip", plaintext.size());
-  // The sender pipeline is the conventional layered engineering (the
-  // receive side is where ILP applies): the cost ledger therefore charges
-  // one full pass per manipulation below.
-  manip_cost_.charge_operation(plaintext.size());
-
-  // The per-ADU checksum covers the plaintext: the ADU is the unit of error
-  // detection (§5), independent of how it is fragmented or ciphered.
-  checksum_out = compute_checksum(cfg_.checksum, plaintext);
-  manip_cost_.charge_pass(plaintext.size(), /*stores=*/false);
-  flags_out = 0;
-  ByteBuffer wire(plaintext.size());
-  simd::kernels().copy(plaintext, wire.span());
-  manip_cost_.charge_pass(plaintext.size(), /*stores=*/true);  // staging copy
-  if (cfg_.encrypt) {
-    // Per-ADU nonce: ADU id into the nonce tail; the ADU is the encryption
-    // synchronization unit, so any complete ADU decrypts standalone.
-    ChaChaKey k = cfg_.key;
-    store_u32_be(k.nonce.data() + 8, adu_id);
-    simd::kernels().chacha20_xor(k, /*counter=*/0, wire.span());
-    manip_cost_.charge_pass(plaintext.size(), /*stores=*/true);
-    flags_out |= kFlagEncrypted;
-  }
-  return wire;
-}
-
 void AlfSender::emit_metrics(obs::MetricSink& sink) const {
   const SenderStats& s = stats_;
   sink.counter("adus_sent", s.adus_sent);
@@ -92,65 +62,20 @@ void AlfSender::register_metrics(obs::MetricsRegistry& reg, std::string prefix) 
 
 Result<std::uint32_t> AlfSender::send_adu(const AduName& name, ConstBytes payload) {
   if (finished_) return Error{ErrorCode::kClosed, "finish() already called"};
-  Result<std::uint32_t> r = stage_adu(next_adu_id_, name, payload);
-  if (r.ok()) ++next_adu_id_;
-  return r;
+  if (Status st = admit(payload.size()); !st) return st.error();
+  BufferedAdu b;
+  b.wire_payload = staging_copy(payload);
+  return stage_next(name, std::move(b));
 }
 
 Result<std::uint32_t> AlfSender::send_adu(const AduName& name, buf::Slice payload) {
   if (finished_) return Error{ErrorCode::kClosed, "finish() already called"};
-  Result<std::uint32_t> r = stage_adu_pooled(next_adu_id_, name, std::move(payload));
-  if (r.ok()) ++next_adu_id_;
-  return r;
-}
-
-Result<std::uint32_t> AlfSender::stage_adu_pooled(std::uint32_t adu_id,
-                                                  const AduName& name,
-                                                  buf::Slice payload) {
-  if (failed_) return Error{ErrorCode::kClosed, "session failed (feedback watchdog)"};
-  if (payload.empty()) return Error{ErrorCode::kOutOfRange, "empty ADU"};
-  if (cfg_.retransmit == RetransmitPolicy::kTransportBuffered &&
-      stats_.retransmit_buffer_bytes + payload.len > cfg_.retransmit_buffer_limit) {
-    return Error{ErrorCode::kLimitExceeded, "retransmit buffer full"};
-  }
-
-  remember_name(adu_id, name);
-
+  if (Status st = admit(payload.len); !st) return st.error();
+  // The application produced the payload in a pool segment: preparing it
+  // in place is the zero-staging saving (no staging copy at all).
   BufferedAdu b;
-  b.name = name;
-  {
-    // In-place prepare — the zero-staging saving: the checksum reads the
-    // plaintext where it lies (load-only) and encryption ciphers the slice
-    // itself. No wire staging buffer is allocated or stored into, which is
-    // one full store pass less than prepare_wire_payload charges.
-    obs::TraceSpan span(trace_, "alf.tx.manip", payload.len);
-    manip_cost_.charge_operation(payload.len);
-    b.checksum = compute_checksum(cfg_.checksum, payload.bytes());
-    manip_cost_.charge_pass(payload.len, /*stores=*/false);
-    b.flags = 0;
-    if (cfg_.encrypt) {
-      ChaChaKey k = cfg_.key;
-      store_u32_be(k.nonce.data() + 8, adu_id);
-      simd::kernels().chacha20_xor(k, /*counter=*/0, payload.mutable_bytes());
-      manip_cost_.charge_pass(payload.len, /*stores=*/true);
-      b.flags |= kFlagEncrypted;
-    }
-  }
-  const std::size_t n = payload.len;
   b.pooled = std::move(payload);
-  store_.emplace(adu_id, std::move(b));
-  if (cfg_.retransmit == RetransmitPolicy::kTransportBuffered) {
-    stats_.retransmit_buffer_bytes += n;
-    stats_.retransmit_buffer_peak =
-        std::max(stats_.retransmit_buffer_peak, stats_.retransmit_buffer_bytes);
-  }
-
-  ++stats_.adus_sent;
-  obs::flight_record(flight_, flight_track_, obs::FlightStage::kStaged,
-                     obs::flight_trace_id(cfg_.session_id, adu_id), n);
-  enqueue_adu_fragments(adu_id, /*retransmit=*/false);
-  pump();
-  return adu_id;
+  return stage_next(name, std::move(b));
 }
 
 Result<std::uint32_t> AlfSender::send_record(const AduName& name,
@@ -163,60 +88,12 @@ Result<std::uint32_t> AlfSender::send_record(const AduName& name,
                   : encode_record_interpreted(plan.syntax, plan.schema, record,
                                               &manip_cost_);
   if (!wire) return wire.error();
-  Result<std::uint32_t> r = stage_adu_prepared(next_adu_id_, name, std::move(*wire));
-  if (r.ok()) ++next_adu_id_;
-  return r;
-}
-
-Result<std::uint32_t> AlfSender::stage_adu_prepared(std::uint32_t adu_id,
-                                                    const AduName& name,
-                                                    ByteBuffer&& plaintext) {
-  if (plaintext.empty()) return Error{ErrorCode::kOutOfRange, "empty ADU"};
-  if (plaintext.size() > UINT32_MAX) {
-    return Error{ErrorCode::kOutOfRange, "ADU too large"};
-  }
-  if (cfg_.retransmit == RetransmitPolicy::kTransportBuffered &&
-      stats_.retransmit_buffer_bytes + plaintext.size() > cfg_.retransmit_buffer_limit) {
-    return Error{ErrorCode::kLimitExceeded, "retransmit buffer full"};
-  }
-
-  remember_name(adu_id, name);
-
+  if (Status st = admit(wire->size()); !st) return st.error();
+  // The marshalling stored into this buffer, so it IS the staging buffer:
+  // the encode was the staging pass.
   BufferedAdu b;
-  b.name = name;
-  {
-    // The marshalling already stored into this buffer, so it IS the staging
-    // buffer: checksum reads it where it lies and encryption ciphers it in
-    // place — prepare_wire_payload's copy pass is the pass the fused
-    // encode saved.
-    obs::TraceSpan span(trace_, "alf.tx.manip", plaintext.size());
-    manip_cost_.charge_operation(plaintext.size());
-    b.checksum = compute_checksum(cfg_.checksum, plaintext.span());
-    manip_cost_.charge_pass(plaintext.size(), /*stores=*/false);
-    b.flags = 0;
-    if (cfg_.encrypt) {
-      ChaChaKey k = cfg_.key;
-      store_u32_be(k.nonce.data() + 8, adu_id);
-      simd::kernels().chacha20_xor(k, /*counter=*/0, plaintext.span());
-      manip_cost_.charge_pass(plaintext.size(), /*stores=*/true);
-      b.flags |= kFlagEncrypted;
-    }
-  }
-  const std::size_t n = plaintext.size();
-  b.wire_payload = std::move(plaintext);
-  store_.emplace(adu_id, std::move(b));
-  if (cfg_.retransmit == RetransmitPolicy::kTransportBuffered) {
-    stats_.retransmit_buffer_bytes += n;
-    stats_.retransmit_buffer_peak =
-        std::max(stats_.retransmit_buffer_peak, stats_.retransmit_buffer_bytes);
-  }
-
-  ++stats_.adus_sent;
-  obs::flight_record(flight_, flight_track_, obs::FlightStage::kStaged,
-                     obs::flight_trace_id(cfg_.session_id, adu_id), n);
-  enqueue_adu_fragments(adu_id, /*retransmit=*/false);
-  pump();
-  return adu_id;
+  b.wire_payload = std::move(*wire);
+  return stage_next(name, std::move(b));
 }
 
 Result<std::uint32_t> AlfSender::send_adu_as(std::uint32_t adu_id,
@@ -229,41 +106,79 @@ Result<std::uint32_t> AlfSender::send_adu_as(std::uint32_t adu_id,
   if (store_.contains(adu_id)) {
     return Error{ErrorCode::kOutOfRange, "id already staged"};
   }
-  Result<std::uint32_t> r = stage_adu(adu_id, name, payload);
-  if (r.ok()) ++stats_.adus_resumed;
-  return r;
+  if (Status st = admit(payload.size()); !st) return st.error();
+  BufferedAdu b;
+  b.wire_payload = staging_copy(payload);
+  stage(adu_id, name, std::move(b), /*retransmit=*/false);
+  pump();
+  ++stats_.adus_resumed;
+  return adu_id;
 }
 
-Result<std::uint32_t> AlfSender::stage_adu(std::uint32_t adu_id,
-                                           const AduName& name,
-                                           ConstBytes payload) {
+Status AlfSender::admit(std::size_t len) const {
   if (failed_) return Error{ErrorCode::kClosed, "session failed (feedback watchdog)"};
-  if (payload.empty()) return Error{ErrorCode::kOutOfRange, "empty ADU"};
-  if (payload.size() > UINT32_MAX) return Error{ErrorCode::kOutOfRange, "ADU too large"};
+  if (len == 0) return Error{ErrorCode::kOutOfRange, "empty ADU"};
+  if (len > UINT32_MAX) return Error{ErrorCode::kOutOfRange, "ADU too large"};
   if (cfg_.retransmit == RetransmitPolicy::kTransportBuffered &&
-      stats_.retransmit_buffer_bytes + payload.size() > cfg_.retransmit_buffer_limit) {
+      stats_.retransmit_buffer_bytes + len > cfg_.retransmit_buffer_limit) {
     return Error{ErrorCode::kLimitExceeded, "retransmit buffer full"};
   }
+  return Status::ok();
+}
 
+ByteBuffer AlfSender::staging_copy(ConstBytes plaintext) {
+  ByteBuffer wire(plaintext.size());
+  simd::kernels().copy(plaintext, wire.span());
+  manip_cost_.charge_pass(plaintext.size(), /*stores=*/true);
+  return wire;
+}
+
+Result<std::uint32_t> AlfSender::stage_next(const AduName& name, BufferedAdu b) {
+  const std::uint32_t adu_id = next_adu_id_;
+  stage(adu_id, name, std::move(b), /*retransmit=*/false);
+  pump();
+  ++next_adu_id_;
+  return adu_id;
+}
+
+void AlfSender::stage(std::uint32_t adu_id, const AduName& name, BufferedAdu b,
+                      bool retransmit) {
   remember_name(adu_id, name);
-
-  BufferedAdu b;
   b.name = name;
-  b.wire_payload = prepare_wire_payload(adu_id, payload, b.checksum, b.flags);
-  store_.emplace(adu_id, std::move(b));
+  const MutableBytes wire =
+      b.pooled.ref ? b.pooled.mutable_bytes() : b.wire_payload.span();
+  const std::size_t n = wire.size();
+  // The sender pipeline is the conventional layered engineering (the
+  // receive side is where ILP applies): the cost ledger therefore charges
+  // one full pass per manipulation below.
+  manip_cost_.charge_operation(n);
+  // The per-ADU checksum covers the plaintext: the ADU is the unit of error
+  // detection (§5), independent of how it is fragmented or ciphered. It
+  // reads the bytes where they lie (load-only).
+  b.checksum = compute_checksum(cfg_.checksum, wire);
+  manip_cost_.charge_pass(n, /*stores=*/false);
+  b.flags = 0;
+  if (cfg_.encrypt) {
+    // Per-ADU nonce: ADU id into the nonce tail; the ADU is the encryption
+    // synchronization unit, so any complete ADU decrypts standalone.
+    ChaChaKey k = cfg_.key;
+    store_u32_be(k.nonce.data() + 8, adu_id);
+    simd::kernels().chacha20_xor(k, /*counter=*/0, wire);
+    manip_cost_.charge_pass(n, /*stores=*/true);
+    b.flags |= kFlagEncrypted;
+  }
+  store_.insert_or_assign(adu_id, std::move(b));
   if (cfg_.retransmit == RetransmitPolicy::kTransportBuffered) {
-    stats_.retransmit_buffer_bytes += payload.size();
+    stats_.retransmit_buffer_bytes += n;
     stats_.retransmit_buffer_peak =
         std::max(stats_.retransmit_buffer_peak, stats_.retransmit_buffer_bytes);
   }
-
-  ++stats_.adus_sent;
-  obs::flight_record(flight_, flight_track_, obs::FlightStage::kStaged,
-                     obs::flight_trace_id(cfg_.session_id, adu_id),
-                     payload.size());
-  enqueue_adu_fragments(adu_id, /*retransmit=*/false);
-  pump();
-  return adu_id;
+  if (!retransmit) {
+    ++stats_.adus_sent;
+    obs::flight_record(flight_, flight_track_, obs::FlightStage::kStaged,
+                       obs::flight_trace_id(cfg_.session_id, adu_id), n);
+  }
+  enqueue_adu_fragments(adu_id, retransmit);
 }
 
 void AlfSender::remember_name(std::uint32_t adu_id, const AduName& name) {
@@ -572,18 +487,16 @@ void AlfSender::handle_nack(const NackMessage& m) {
           break;
         }
         auto payload = recompute_(adu_id, name_it->second);
-        if (!payload) {
+        if (!payload || !admit(payload->size())) {
           ++stats_.nacks_ignored;  // app declined (e.g. data superseded)
           break;
         }
         // Re-prepare under the same id so the receiver can reconcile.
         BufferedAdu b;
-        b.name = name_it->second;
-        b.wire_payload = prepare_wire_payload(adu_id, payload->span(), b.checksum, b.flags);
-        store_[adu_id] = std::move(b);
+        b.wire_payload = staging_copy(payload->span());
+        stage(adu_id, name_it->second, std::move(b), /*retransmit=*/true);
         ++stats_.adus_recomputed;
         ++stats_.adus_retransmitted;
-        enqueue_adu_fragments(adu_id, /*retransmit=*/true);
         break;
       }
       case RetransmitPolicy::kNone:

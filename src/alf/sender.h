@@ -35,7 +35,6 @@
 namespace ngp::obs {
 class MetricSink;
 class MetricsRegistry;
-class TraceRecorder;
 class FlightRecorder;
 }  // namespace ngp::obs
 
@@ -167,8 +166,6 @@ class AlfSender {
   /// Registers emit_metrics under `prefix` (e.g. "alf.tx"). The sender
   /// must outlive the registry or be removed first.
   void register_metrics(obs::MetricsRegistry& reg, std::string prefix) const;
-  /// Attaches a span trace recorder (null = untraced).
-  void set_trace(obs::TraceRecorder* trace) noexcept { trace_ = trace; }
   /// Attaches the per-ADU flight recorder on a new "alf.tx" track:
   /// staged / fragment-tx / retransmit-tx events (null = untraced).
   void set_flight(obs::FlightRecorder* flight);
@@ -199,21 +196,22 @@ class AlfSender {
     }
   };
 
-  /// Queues an ADU's fragments (and FEC parity). Retransmissions go to the
-  /// FRONT of the queue: recovery latency is what stalls the receiver's
-  /// pipeline, so recovered data must not wait behind the backlog.
-  /// Shared body of send_adu / send_adu_as once the id is chosen.
-  Result<std::uint32_t> stage_adu(std::uint32_t adu_id, const AduName& name,
-                                  ConstBytes payload);
-  /// stage_adu's zero-staging twin: prepares the slice in place.
-  Result<std::uint32_t> stage_adu_pooled(std::uint32_t adu_id,
-                                         const AduName& name, buf::Slice payload);
-  /// Stages an already-marshalled buffer as the wire payload: checksum is a
-  /// load-only pass and encryption ciphers the buffer itself (the encode
-  /// that produced it was the staging pass).
-  Result<std::uint32_t> stage_adu_prepared(std::uint32_t adu_id,
-                                           const AduName& name,
-                                           ByteBuffer&& plaintext);
+  /// Admission shared by every entry point: a failed session, an empty or
+  /// oversized ADU, or a full retransmit buffer refuse before any pass.
+  Status admit(std::size_t len) const;
+  /// The flat entry points' staging copy (the caller keeps its bytes), on
+  /// the ledger as one full store pass.
+  ByteBuffer staging_copy(ConstBytes plaintext);
+  /// stage() under the next fresh id, then pump().
+  Result<std::uint32_t> stage_next(const AduName& name, BufferedAdu b);
+  /// The one staging routine: `b` holds the plaintext (flat or pooled) in
+  /// memory this sender owns. Checksums it where it lies, encrypts it in
+  /// place, stores it and queues its fragments. Retransmissions (a
+  /// recompute re-staging) go to the FRONT of the queue: recovery latency
+  /// is what stalls the receiver's pipeline, so recovered data must not
+  /// wait behind the backlog.
+  void stage(std::uint32_t adu_id, const AduName& name, BufferedAdu b,
+             bool retransmit);
   /// Records the ADU's name for recompute NACKs (that policy only).
   void remember_name(std::uint32_t adu_id, const AduName& name);
   void enqueue_adu_fragments(std::uint32_t adu_id, bool retransmit);
@@ -221,8 +219,6 @@ class AlfSender {
   void send_fragment(const PendingFragment& pf);
   void on_feedback(ConstBytes frame);
   void handle_nack(const NackMessage& m);
-  ByteBuffer prepare_wire_payload(std::uint32_t adu_id, ConstBytes plaintext,
-                                  std::uint32_t& checksum_out, std::uint8_t& flags_out);
 
   EventLoop& loop_;
   NetPath& out_;
@@ -230,7 +226,6 @@ class AlfSender {
   SessionConfig cfg_;
   SenderStats stats_;
   obs::CostAccount manip_cost_;
-  obs::TraceRecorder* trace_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
   std::uint16_t flight_track_ = 0;
   RecomputeFn recompute_;

@@ -1,6 +1,8 @@
 #include "buf/pool.h"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <new>
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -110,8 +112,15 @@ BufferPool::BufferPool(PoolConfig cfg) : cfg_(std::move(cfg)) {
 }
 
 BufferPool::~BufferPool() {
-  assert(live_.load(std::memory_order_relaxed) == 0 &&
-         "BufferPool destroyed with live segments");
+  // Fail closed, in every build: a segment still referenced here would
+  // later recycle into freed memory and crash far from the cause.
+  if (const std::uint64_t live = live_.load(std::memory_order_acquire); live != 0) {
+    std::fprintf(stderr,
+                 "ngp::buf::BufferPool destroyed with %llu live segment(s): "
+                 "a BufRef outlives its pool\n",
+                 static_cast<unsigned long long>(live));
+    std::abort();
+  }
   {
     // Orphan every per-thread cache so late thread exits skip the flush.
     std::lock_guard lk(tls_registry_mutex());

@@ -155,7 +155,7 @@ struct PoolStats {
 
 /// The arena. Slabs are never returned to the heap before the pool is
 /// destroyed; destroying the pool while segments are live is a programming
-/// error (asserted in debug builds).
+/// error that aborts the process, in every build.
 class BufferPool {
  public:
   explicit BufferPool(PoolConfig cfg = {});

@@ -8,9 +8,10 @@
 // reassembly and placement, engine worker execution — under a flow-scoped
 // trace id, following the x-kernel's per-message tracing discipline.
 //
-// Cost discipline (same as obs/trace.h):
-//   * Compile-time: NGP_OBS=OFF compiles every recorder method to an empty
-//     inline body; call sites need no #ifdefs and produce no code.
+// Cost discipline:
+//   * Compile-time: the NGP_OBS CMake option (default ON) defines
+//     NGP_OBS_ENABLED; with it OFF every recorder method compiles to an
+//     empty inline body; call sites need no #ifdefs and produce no code.
 //   * Run-time: a recorder constructs disabled; enabled builds with flight
 //     recording off cost one branch per event.
 //   * Recording NEVER blocks the datapath: each track is a bounded ring
@@ -37,12 +38,22 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/trace.h"  // NGP_OBS_ENABLED / kEnabled / ClockFn convention
 #include "util/sim_clock.h"
+
+#ifndef NGP_OBS_ENABLED
+#define NGP_OBS_ENABLED 1
+#endif
 
 namespace ngp::obs {
 
 class MetricsRegistry;
+
+/// True when the recording hot path is compiled in (NGP_OBS=ON).
+inline constexpr bool kEnabled = NGP_OBS_ENABLED != 0;
+
+/// A sim-time source: `clock(ctx)` returns the current time. The context
+/// must outlive the recorder (typically an EventLoop, see loop_clock).
+using ClockFn = SimTime (*)(const void*);
 
 /// Lifecycle stages a flight event can mark. One ADU's journey touches a
 /// subset of these, in roughly this order.
@@ -179,8 +190,6 @@ class FlightTable {
 /// so recording is lock-free by construction. Export runs at quiescence.
 class FlightRecorder {
  public:
-  using ClockFn = SimTime (*)(const void*);
-
   FlightRecorder(ClockFn clock, const void* clock_ctx, FlightConfig cfg = {})
       : clock_(clock), clock_ctx_(clock_ctx), cfg_(cfg) {}
 
@@ -253,8 +262,6 @@ class FlightRecorder {
 
 class FlightRecorder {
  public:
-  using ClockFn = SimTime (*)(const void*);
-
   FlightRecorder(ClockFn, const void*, FlightConfig = {}) {}
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
@@ -288,8 +295,13 @@ inline void flight_record(FlightRecorder* f, std::uint16_t track,
   if (f != nullptr) f->record(track, stage, trace_id, arg);
 }
 
-/// Convenience: a flight recorder driven by `loop`'s simulated clock
-/// (mirrors make_loop_recorder in trace.h).
+/// Adapts an EventLoop (or anything with .now()) to a ClockFn.
+template <typename Loop>
+SimTime loop_clock(const void* ctx) {
+  return static_cast<const Loop*>(ctx)->now();
+}
+
+/// Convenience: a flight recorder driven by `loop`'s simulated clock.
 template <typename Loop>
 FlightRecorder make_loop_flight_recorder(const Loop& loop,
                                          FlightConfig cfg = {}) {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "obs/cost.h"
+
 namespace ngp::obs {
 
 namespace {
@@ -255,6 +257,19 @@ Snapshot MetricsRegistry::delta_snapshot(Snapshot* absolute_out) {
   for (const Sample& cur : abs.samples()) mark_.emplace(cur.name, cur);
   if (absolute_out != nullptr) *absolute_out = std::move(abs);
   return Snapshot(std::move(delta));
+}
+
+void emit_cost(MetricSink& sink, std::string_view name, const CostAccount& c) {
+  const std::string base(name);
+  sink.counter(base + ".operations", c.operations);
+  sink.counter(base + ".bytes_touched", c.bytes_touched);
+  sink.counter(base + ".words_touched", c.words_touched);
+  sink.counter(base + ".memory_passes", c.memory_passes);
+  sink.counter(base + ".word_loads", c.word_loads);
+  sink.counter(base + ".word_stores", c.word_stores);
+  sink.gauge(base + ".passes_per_operation", c.passes_per_operation());
+  sink.gauge(base + ".loads_per_word", c.loads_per_word());
+  sink.gauge(base + ".stores_per_word", c.stores_per_word());
 }
 
 }  // namespace ngp::obs

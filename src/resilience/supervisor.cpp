@@ -26,8 +26,15 @@ const char* to_string(SupervisorState s) noexcept {
 SessionSupervisor::SessionSupervisor(EventLoop& loop, NetPath& data,
                                      NetPath& feedback_tx, NetPath& feedback_rx,
                                      SupervisorConfig config)
+    : SessionSupervisor(loop, data, &data, feedback_tx, &feedback_rx,
+                        std::move(config)) {}
+
+SessionSupervisor::SessionSupervisor(EventLoop& loop, NetPath& data_out,
+                                     NetPath* data_in, NetPath& feedback_tx,
+                                     NetPath* feedback_rx, SupervisorConfig config)
     : loop_(loop),
-      data_(data),
+      data_(data_out),
+      data_in_(data_in),
       feedback_tx_(feedback_tx),
       feedback_rx_(feedback_rx),
       cfg_(std::move(config)),
@@ -60,7 +67,7 @@ alf::SessionConfig SessionSupervisor::incarnation_config() const {
 void SessionSupervisor::build_endpoints() {
   const alf::SessionConfig c = incarnation_config();
   sender_ = std::make_unique<AlfSender>(loop_, data_, feedback_rx_, c);
-  receiver_ = std::make_unique<AlfReceiver>(loop_, data_, feedback_tx_, c);
+  receiver_ = std::make_unique<AlfReceiver>(loop_, data_in_, feedback_tx_, c);
   if (cfg_.engine != nullptr) {
     receiver_->set_engine(cfg_.engine, cfg_.engine_harvest_delay);
   }

@@ -117,6 +117,14 @@ class SessionSupervisor {
   SessionSupervisor(EventLoop& loop, NetPath& data, NetPath& feedback_tx,
                     NetPath& feedback_rx, SupervisorConfig config);
 
+  /// Demux-fed variant (sessiond), mirroring the endpoints' nullable
+  /// ingress: a null `data_in` / `feedback_rx` registers no handler on any
+  /// incarnation, and frames reach the current one only through
+  /// receiver().handle_frame() / sender().handle_feedback().
+  SessionSupervisor(EventLoop& loop, NetPath& data_out, NetPath* data_in,
+                    NetPath& feedback_tx, NetPath* feedback_rx,
+                    SupervisorConfig config);
+
   SessionSupervisor(const SessionSupervisor&) = delete;
   SessionSupervisor& operator=(const SessionSupervisor&) = delete;
   ~SessionSupervisor();
@@ -178,8 +186,9 @@ class SessionSupervisor {
 
   EventLoop& loop_;
   NetPath& data_;
+  NetPath* data_in_;
   NetPath& feedback_tx_;
-  NetPath& feedback_rx_;
+  NetPath* feedback_rx_;
   SupervisorConfig cfg_;
   Rng jitter_rng_;
   SupervisorState state_ = SupervisorState::kRunning;

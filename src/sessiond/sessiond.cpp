@@ -1,5 +1,6 @@
 #include "sessiond/sessiond.h"
 
+#include "alf/negotiate.h"
 #include "alf/wire.h"
 #include "obs/metrics.h"
 
@@ -8,8 +9,7 @@ namespace ngp::sessiond {
 // ---- Dispatcher ------------------------------------------------------------
 
 std::uint32_t Dispatcher::bind(NetPath& ingress) {
-  const std::uint32_t peer =
-      next_peer_.fetch_add(1, std::memory_order_relaxed);
+  const std::uint32_t peer = fresh_peer();
   bind(ingress, peer);
   return peer;
 }
@@ -17,13 +17,20 @@ std::uint32_t Dispatcher::bind(NetPath& ingress) {
 void Dispatcher::bind(NetPath& ingress, std::uint32_t peer) {
   ingress.set_handler(
       [this, peer](ConstBytes frame) { dispatch(peer, frame); });
+  bound_[&ingress] = peer;
+}
+
+std::optional<std::uint32_t> Dispatcher::peer_of(const NetPath& ingress) const {
+  const auto it = bound_.find(&ingress);
+  if (it == bound_.end()) return std::nullopt;
+  return it->second;
 }
 
 void Dispatcher::dispatch(std::uint32_t peer, ConstBytes frame) {
   frames_dispatched_.fetch_add(1, std::memory_order_relaxed);
   const auto sid = alf::peek_flow_id(frame);
   if (!sid) {
-    frames_unroutable_.fetch_add(1, std::memory_order_relaxed);
+    dispatch_unflowed(frame, peer);
     return;
   }
   const FlowId flow{peer, *sid};
@@ -45,6 +52,20 @@ void Dispatcher::dispatch(std::uint32_t peer, ConstBytes frame) {
       creates_rejected_.fetch_add(1, std::memory_order_relaxed);
       break;
   }
+}
+
+// Out of line, and taking the frame first: the routed path of dispatch()
+// must not pay for this branch (with GCC 12 at -O3 its instructions are
+// the same as with no handshake route at all; check with objdump).
+[[gnu::noinline]] void Dispatcher::dispatch_unflowed(ConstBytes frame,
+                                                     std::uint32_t peer) {
+  // A handshake precedes every flow, so its frames carry no flow id.
+  if (handshake_ && alf::is_handshake_frame(frame)) {
+    frames_routed_.fetch_add(1, std::memory_order_relaxed);
+    handshake_(peer, frame);
+    return;
+  }
+  frames_unroutable_.fetch_add(1, std::memory_order_relaxed);
 }
 
 Dispatcher::Stats Dispatcher::stats() const {
@@ -253,14 +274,21 @@ Result<SessionHandle> Sessiond::open(const alf::SessionConfig& session,
       paths.feedback_rx == nullptr) {
     return {ErrorCode::kMalformed, "open() needs data + both feedback paths"};
   }
-  const std::uint32_t peer = opts.peer != 0 ? opts.peer : next_open_peer_++;
+  // One peer per channel: a path bound here before keeps its peer, so
+  // every association over a shared channel (either direction) and the
+  // handshake before them demux through one flow space.
+  const auto data_peer = dispatcher_.peer_of(*paths.data);
+  const auto feedback_peer = dispatcher_.peer_of(*paths.feedback_rx);
+  if (data_peer && feedback_peer && *data_peer != *feedback_peer) {
+    return {ErrorCode::kMalformed, "open() paths are bound under two peers"};
+  }
+  const std::uint32_t peer = data_peer       ? *data_peer
+                             : feedback_peer ? *feedback_peer
+                                             : dispatcher_.fresh_peer();
   const FlowId flow{peer, session.session_id};
 
-  // Admission first, endpoints second. Endpoint constructors register
-  // frame handlers on the (shared) paths, so building them before the
-  // table says yes would — on a duplicate or a full table — tear them
-  // straight back down, leaving the paths' handlers dangling and the
-  // already-resident session on those paths deaf. The placeholder
+  // Admission first, binding and endpoints second: a duplicate or a full
+  // table must leave the paths' handlers alone. The placeholder
   // AlfSession is inert (no endpoints: on_frame drops), so reserving the
   // entry before the endpoints exist is safe even against concurrent
   // dispatch to this flow.
@@ -269,7 +297,11 @@ Result<SessionHandle> Sessiond::open(const alf::SessionConfig& session,
   auto admitted = table_.insert(flow, std::move(sess), loop_.now(),
                                 /*pinned=*/true);
   if (!admitted.ok()) return admitted.error();
+  if (!data_peer) dispatcher_.bind(*paths.data, peer);
+  if (!feedback_peer) dispatcher_.bind(*paths.feedback_rx, peer);
 
+  // Demux-fed endpoints: they own no ingress handler; AlfSession::on_frame
+  // feeds them whatever the dispatcher routes to this flow.
   if (opts.supervised) {
     resilience::SupervisorConfig sup_cfg = opts.supervisor;
     sup_cfg.session = session;
@@ -280,15 +312,14 @@ Result<SessionHandle> Sessiond::open(const alf::SessionConfig& session,
     sup_cfg.rx_pool = opts.rx_pool;
     sup_cfg.presentation = opts.presentation;
     raw->sup_ = std::make_unique<resilience::SessionSupervisor>(
-        loop_, *paths.data, *paths.feedback_tx, *paths.feedback_rx, sup_cfg);
+        loop_, *paths.data, nullptr, *paths.feedback_tx, nullptr, sup_cfg);
   } else {
-    // Hand-wired construction order, preserved exactly: sender first (its
-    // ctor registers the feedback handler), then receiver (data handler).
-    // Migrated programs replay the identical event sequence.
-    raw->sender_ = std::make_unique<alf::AlfSender>(
-        loop_, *paths.data, *paths.feedback_rx, session);
+    // Hand-wired construction order, preserved exactly: sender first, then
+    // receiver. Migrated programs replay the identical event sequence.
+    raw->sender_ = std::make_unique<alf::AlfSender>(loop_, *paths.data,
+                                                    nullptr, session);
     raw->receiver_ = std::make_unique<alf::AlfReceiver>(
-        loop_, *paths.data, *paths.feedback_tx, session);
+        loop_, nullptr, *paths.feedback_tx, session);
     if (opts.engine != nullptr) {
       raw->receiver_->set_engine(opts.engine, opts.engine_harvest_delay);
     }

@@ -15,10 +15,14 @@
 //
 //   * Sessiond::open(config, paths) -> SessionHandle: the facade for
 //     deliberately-opened associations. One call validates the config,
-//     builds the endpoints (supervised via ngp::resilience on opt-in),
+//     builds demux-fed endpoints (supervised via ngp::resilience on
+//     opt-in), binds the association's ingress paths to the dispatcher,
 //     registers the flow in the table (pinned — never idle-swept), and
 //     returns an RAII handle that closes the session on destruction.
 //
+// The dispatcher is the host's one demux point: opened associations, in
+// either direction, and the handshakes that precede them (frames with no
+// flow id, handed to Sessiond::set_on_handshake) all enter through it.
 // The sim stays deterministic: open() builds endpoints in the exact order
 // the hand-wired examples did, so a migrated program replays the same
 // event sequence byte for byte.
@@ -29,7 +33,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "alf/receiver.h"
@@ -46,10 +52,15 @@ namespace ngp::sessiond {
 
 class Sessiond;
 
+/// Receives the frames that carry no flow id but are handshake frames
+/// (alf::is_handshake_frame), with the peer they entered under.
+using HandshakeHook = std::function<void(std::uint32_t peer, ConstBytes frame)>;
+
 /// Routes raw ingress frames to table-resident sessions. dispatch() may
 /// run from many threads: distinct shards proceed in parallel, one flow's
 /// frames serialize behind its shard lock. Setup calls (bind, set_factory,
-/// set_flight) belong to the control thread, before traffic.
+/// set_on_handshake, set_flight) belong to the control thread, before
+/// traffic.
 class Dispatcher {
  public:
   Dispatcher(EventLoop& loop, SessionTable& table)
@@ -61,22 +72,31 @@ class Dispatcher {
   /// flows are dropped and counted unroutable.
   void set_factory(SessionFactory fn) { factory_ = std::move(fn); }
 
+  /// Handshake route: frames with no flow id that are handshake frames go
+  /// to `fn` instead of counting unroutable. Unset = no handshake route.
+  void set_on_handshake(HandshakeHook fn) { handshake_ = std::move(fn); }
+
   /// Registers this dispatcher as `ingress`'s frame handler under an
   /// auto-assigned peer address (returned). Frames from different bound
-  /// paths with the same session id are different flows.
+  /// paths with the same session id are different flows. The handler
+  /// stays installed until the path is rebound: the dispatcher must
+  /// outlive the traffic on its bound paths.
   std::uint32_t bind(NetPath& ingress);
   /// Same, under an explicit peer address.
   void bind(NetPath& ingress, std::uint32_t peer);
 
   /// Routes one frame: peek flow id -> shard lookup -> session->on_frame,
-  /// creating the session via the factory on first frame.
+  /// creating the session via the factory on first frame. Frames with no
+  /// flow id take the handshake route, if set, or count unroutable.
   void dispatch(std::uint32_t peer, ConstBytes frame);
 
   struct Stats {
     std::uint64_t frames_dispatched = 0;
-    std::uint64_t frames_routed = 0;     ///< delivered to an existing session
+    std::uint64_t frames_routed = 0;     ///< delivered to a session or the
+                                         ///< handshake route
     std::uint64_t sessions_created = 0;  ///< create-on-first-frame successes
-    std::uint64_t frames_unroutable = 0; ///< unpeekable / no factory
+    std::uint64_t frames_unroutable = 0; ///< unpeekable / no session / no
+                                         ///< handshake route
     std::uint64_t creates_rejected = 0;  ///< admission control said no
   };
   Stats stats() const;
@@ -102,13 +122,25 @@ class Dispatcher {
   std::atomic<std::uint64_t> creates_rejected_{0};
   obs::FlightRecorder* flight_ = nullptr;
   std::uint16_t flight_track_ = 0;
+  friend class Sessiond;
+  std::uint32_t fresh_peer() {
+    return next_peer_.fetch_add(1, std::memory_order_relaxed);
+  }
+  /// The peer `ingress` was last bound under here, if any.
+  std::optional<std::uint32_t> peer_of(const NetPath& ingress) const;
+  /// dispatch()'s branch for frames with no flow id (kept out of line).
+  void dispatch_unflowed(ConstBytes frame, std::uint32_t peer);
+  HandshakeHook handshake_;
+  std::unordered_map<const NetPath*, std::uint32_t> bound_;  ///< path -> peer
 };
 
 /// The three NetPaths one ALF association runs over, exactly as the
 /// hand-wired pattern used them: the sender transmits on `data` and the
 /// receiver listens on it; the receiver transmits NACK/PROGRESS on
 /// `feedback_tx` and the sender listens on `feedback_rx` (usually two
-/// views of one reverse channel).
+/// views of one reverse channel). open() binds `data` and `feedback_rx`
+/// to the dispatcher under one peer, so any number of associations share
+/// them, in both directions.
 struct SessionPaths {
   NetPath* data = nullptr;
   NetPath* feedback_tx = nullptr;
@@ -137,9 +169,6 @@ struct OpenOptions {
   /// AlfReceiver::set_presentation; survives supervised restarts). Must be
   /// the session's negotiated syntax. Null = no fusion.
   std::shared_ptr<const presentation::PresentationPlan> presentation;
-  /// Peer address for the flow id; 0 = auto-assign a fresh one (so two
-  /// opens with the same session id never collide unless asked to).
-  std::uint32_t peer = 0;
 };
 
 /// One table-resident ALF association: either a supervisor or a bare
@@ -284,11 +313,15 @@ class Sessiond {
   Sessiond& operator=(const Sessiond&) = delete;
   ~Sessiond();
 
-  /// Opens one full association over `paths`: validates `session`, builds
-  /// the endpoints (exactly the hand-wired construction order, so
-  /// migrated programs stay byte-identical), registers the flow pinned in
-  /// the table, and returns the owning handle. Errors: validation
-  /// failures, missing paths, duplicate (peer, session_id).
+  /// Opens one full association over `paths`: validates `session`, binds
+  /// `paths.data` and `paths.feedback_rx` to the dispatcher under one peer
+  /// (a path bound here before keeps its peer), builds demux-fed
+  /// endpoints (exactly the hand-wired construction order, so migrated
+  /// programs stay byte-identical), registers the flow pinned in the
+  /// table, and returns the owning handle. Errors: validation failures,
+  /// missing paths, paths already bound under two different peers,
+  /// duplicate (peer, session_id) — two opens of one session id on the
+  /// same paths.
   Result<SessionHandle> open(const alf::SessionConfig& session,
                              const SessionPaths& paths, OpenOptions opts = {});
 
@@ -299,6 +332,12 @@ class Sessiond {
   }
   /// Create-on-first-frame hook (see Dispatcher::set_factory).
   void set_factory(SessionFactory fn) { dispatcher_.set_factory(std::move(fn)); }
+  /// Handshake route for frames arriving on bound paths (see
+  /// Dispatcher::set_on_handshake): feed them to a HandshakeInitiator /
+  /// HandshakeResponder built with a null rx, then open() on agreement.
+  void set_on_handshake(HandshakeHook fn) {
+    dispatcher_.set_on_handshake(std::move(fn));
+  }
 
   /// Manual idle GC at `now` (or the loop's now). Returns evicted count.
   std::size_t sweep_idle() { return table_.sweep_idle(loop_.now()); }
@@ -330,7 +369,6 @@ class Sessiond {
   Config cfg_;
   SessionTable table_;
   Dispatcher dispatcher_;
-  std::uint32_t next_open_peer_ = 0x40000000;  ///< disjoint from bind() peers
   EventId sweep_timer_ = 0;
   obs::FlightRecorder* flight_ = nullptr;
   std::uint16_t flight_track_ = 0;

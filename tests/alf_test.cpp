@@ -4,13 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstring>
 #include <map>
+#include <ostream>
 #include <set>
 
 #include "alf/receiver.h"
 #include "alf/sender.h"
+#include "buf/pool.h"
 #include "netsim/cell_link.h"
 #include "netsim/net_path.h"
+#include "presentation/plan.h"
 #include "util/rng.h"
 
 namespace ngp::alf {
@@ -554,6 +558,126 @@ TEST(AlfSenderQueue, FrontRequeueOfLargeBatchStaysLinear) {
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(), 250)
       << "retransmit front-requeue is no longer linear";
   EXPECT_EQ(sender.stats().adus_retransmitted, 1u);
+}
+
+// ---- Sender staging: every entry point, one routine -------------------------------
+
+/// What one staged ADU leaves behind: an FNV-1a hash of the DATA fragment
+/// payloads it put on the wire (the ciphertext), the ADU checksum they
+/// carry, and the §4 ledger the staging charged.
+struct StagePin {
+  std::uint64_t wire_fnv = 0;
+  std::uint32_t checksum = 0;
+  std::uint64_t operations = 0, bytes_touched = 0, memory_passes = 0,
+                word_loads = 0, word_stores = 0;
+
+  bool operator==(const StagePin&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const StagePin& p) {
+  return os << "{0x" << std::hex << p.wire_fnv << "u, 0x" << p.checksum
+            << std::dec << "u, " << p.operations << ", " << p.bytes_touched
+            << ", " << p.memory_passes << ", " << p.word_loads << ", "
+            << p.word_stores << "}";
+}
+
+StagePin pin_staging(const CapturePath& out, std::size_t first_frame,
+                     const obs::CostAccount& before, const obs::CostAccount& after) {
+  StagePin p;
+  p.wire_fnv = 0xcbf29ce484222325ull;
+  for (std::size_t i = first_frame; i < out.frames.size(); ++i) {
+    auto msg = decode_message(out.frames[i].span());
+    if (!msg || msg->type != MessageType::kData) continue;
+    p.checksum = msg->data.adu_checksum;
+    for (std::uint8_t byte : msg->data.payload) {
+      p.wire_fnv = (p.wire_fnv ^ byte) * 0x100000001b3ull;
+    }
+  }
+  p.operations = after.operations - before.operations;
+  p.bytes_touched = after.bytes_touched - before.bytes_touched;
+  p.memory_passes = after.memory_passes - before.memory_passes;
+  p.word_loads = after.word_loads - before.word_loads;
+  p.word_stores = after.word_stores - before.word_stores;
+  return p;
+}
+
+TEST(SenderStaging, EveryEntryPointPinsCiphertextChecksumAndLedger) {
+  // Expected values were captured from the sender before its staging
+  // routines (flat, pooled, pre-marshalled, recompute) became one: the
+  // bytes on the wire, the checksum and the ledger per ADU must not move.
+  buf::BufferPool pool;
+  EventLoop loop;
+  CapturePath out, feedback;
+  SessionConfig scfg;
+  scfg.retransmit = RetransmitPolicy::kApplicationRecompute;
+  scfg.checksum = ChecksumKind::kCrc32;
+  scfg.encrypt = true;
+  for (std::size_t i = 0; i < scfg.key.key.size(); ++i) {
+    scfg.key.key[i] = static_cast<std::uint8_t>(0x5A ^ i);
+  }
+  scfg.first_adu_id = 100;
+  AlfSender sender(loop, out, feedback, scfg);
+  const ByteBuffer flat = payload_of(5000, 31);
+  sender.set_recompute([&](std::uint32_t, const AduName&) {
+    return std::optional<ByteBuffer>(ByteBuffer(flat.span()));
+  });
+
+  std::vector<StagePin> pins;
+  auto staged = [&](auto&& entry_point) {
+    const std::size_t first = out.frames.size();
+    const obs::CostAccount before = sender.manipulation_cost();
+    entry_point();
+    pins.push_back(pin_staging(out, first, before, sender.manipulation_cost()));
+  };
+
+  staged([&] { ASSERT_TRUE(sender.send_adu(generic_name(1), flat.span()).ok()); });
+  staged([&] {
+    const ByteBuffer bytes = payload_of(4000, 32);
+    buf::BufRef ref = pool.alloc(bytes.size());
+    std::memcpy(ref.data(), bytes.data(), bytes.size());
+    ASSERT_TRUE(sender
+                    .send_adu(generic_name(2),
+                              buf::Slice{std::move(ref), 0, bytes.size()})
+                    .ok());
+  });
+  const RecordSchema schema{"pin", {FieldType::kInt32Array}};
+  std::vector<std::int32_t> ints(700);
+  Rng rng(33);
+  for (auto& x : ints) x = static_cast<std::int32_t>(rng.next());
+  const Record record{ints};
+  for (TransferSyntax syntax : {TransferSyntax::kXdr, TransferSyntax::kBer}) {
+    staged([&] {
+      const auto plan = presentation::cached_plan(schema, syntax);
+      ASSERT_TRUE(sender.send_record(generic_name(3), *plan, record).ok());
+    });
+  }
+  staged([&] {
+    const ByteBuffer bytes = payload_of(3000, 35);
+    ASSERT_TRUE(sender.send_adu_as(7, generic_name(4), bytes.span()).ok());
+  });
+  staged([&] {  // recompute re-staging of ADU 100 (the flat send above)
+    NackMessage m;
+    m.session = scfg.session_id;
+    m.adu_ids.push_back(100);
+    const ByteBuffer nack = encode_nack(m);
+    feedback.deliver(nack.span());
+  });
+  EXPECT_EQ(sender.stats().adus_recomputed, 1u);
+
+  // send_adu(ConstBytes), send_adu(Slice), send_record with a compiled XDR
+  // plan, send_record with interpreted BER, send_adu_as, the recompute arm.
+  const std::vector<StagePin> expected = {
+      {0x80374955133a3c07u, 0x6974e2dcu, 1, 5000, 3, 1875, 1250},
+      {0xd7b1b13a17d79524u, 0xbe5d4545u, 1, 4000, 2, 1000, 500},
+      {0x29412f0fbba36604u, 0x413e9100u, 2, 5608, 3, 1053, 702},
+      {0x4946654c03f81b66u, 0x6dcf1b88u, 2, 8414, 3, 1578, 1052},
+      {0x19237a4a491296e2u, 0x55210989u, 1, 3000, 3, 1125, 750},
+      {0x80374955133a3c07u, 0x6974e2dcu, 1, 5000, 3, 1875, 1250},
+  };
+  ASSERT_EQ(pins.size(), expected.size());
+  for (std::size_t i = 0; i < pins.size(); ++i) {
+    EXPECT_EQ(pins[i], expected[i]) << "entry point " << i;
+  }
 }
 
 }  // namespace

@@ -142,6 +142,21 @@ TEST(BufPool, CrossThreadLastRelease) {
   EXPECT_TRUE(static_cast<bool>(again));
 }
 
+TEST(BufPoolDeathTest, DestroyingThePoolUnderALiveSegmentAborts) {
+  // A BufRef that outlives its pool must fail at the pool's destruction,
+  // in release builds too — not as a crash at some later thread exit.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        BufRef leaked;
+        {
+          BufferPool pool;
+          leaked = pool.alloc(64);
+        }
+      },
+      "destroyed with 1 live segment");
+}
+
 TEST(BufChain, AppendCoalescesContiguousSameSegment) {
   BufferPool pool;
   BufRef ref = pool.alloc(1024);

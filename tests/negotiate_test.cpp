@@ -271,8 +271,8 @@ TEST(Handshake, CleanPathAgrees) {
   HandshakeHarness h(0.0);
   Capabilities caps;
   caps.can_encrypt = true;
-  HandshakeResponder responder(h.loop, h.fwd_rx, h.rev_tx, caps);
-  HandshakeInitiator initiator(h.loop, h.fwd_tx, h.rev_rx, fancy_offer());
+  HandshakeResponder responder(h.loop, &h.fwd_rx, h.rev_tx, caps);
+  HandshakeInitiator initiator(h.loop, h.fwd_tx, &h.rev_rx, fancy_offer());
 
   Result<SessionConfig> got(Error{ErrorCode::kNotFound, "no callback"});
   initiator.set_on_done([&](Result<SessionConfig> r) { got = std::move(r); });
@@ -291,8 +291,8 @@ TEST(Handshake, SurvivesLossViaRetry) {
     HandshakeHarness h(0.3, seed);
     Capabilities caps;
     caps.can_encrypt = true;
-    HandshakeResponder responder(h.loop, h.fwd_rx, h.rev_tx, caps);
-    HandshakeInitiator initiator(h.loop, h.fwd_tx, h.rev_rx, fancy_offer(),
+    HandshakeResponder responder(h.loop, &h.fwd_rx, h.rev_tx, caps);
+    HandshakeInitiator initiator(h.loop, h.fwd_tx, &h.rev_rx, fancy_offer(),
                                  30 * kMillisecond, /*max_retries=*/10);
     Result<SessionConfig> got(Error{ErrorCode::kNotFound, {}});
     initiator.set_on_done([&](Result<SessionConfig> r) { got = std::move(r); });
@@ -306,7 +306,7 @@ TEST(Handshake, SurvivesLossViaRetry) {
 
 TEST(Handshake, TimesOutWithoutResponder) {
   HandshakeHarness h(0.0);
-  HandshakeInitiator initiator(h.loop, h.fwd_tx, h.rev_rx, fancy_offer(),
+  HandshakeInitiator initiator(h.loop, h.fwd_tx, &h.rev_rx, fancy_offer(),
                                20 * kMillisecond, 3);
   Result<SessionConfig> got(Error{ErrorCode::kNotFound, {}});
   bool called = false;
@@ -325,8 +325,8 @@ TEST(Handshake, RefusalReported) {
   HandshakeHarness h(0.0);
   Capabilities caps;
   caps.syntaxes = {TransferSyntax::kRaw};  // cannot do XDR
-  HandshakeResponder responder(h.loop, h.fwd_rx, h.rev_tx, caps);
-  HandshakeInitiator initiator(h.loop, h.fwd_tx, h.rev_rx, fancy_offer());
+  HandshakeResponder responder(h.loop, &h.fwd_rx, h.rev_tx, caps);
+  HandshakeInitiator initiator(h.loop, h.fwd_tx, &h.rev_rx, fancy_offer());
   Result<SessionConfig> got(Error{ErrorCode::kNotFound, {}});
   initiator.set_on_done([&](Result<SessionConfig> r) { got = std::move(r); });
   initiator.start();
@@ -340,10 +340,10 @@ TEST(Handshake, NegotiatedSessionCarriesData) {
   // agreed config and transfer an ADU.
   HandshakeHarness h(0.0);
   Capabilities caps;  // unkeyed: encryption must be dropped
-  HandshakeResponder responder(h.loop, h.fwd_rx, h.rev_tx, caps);
+  HandshakeResponder responder(h.loop, &h.fwd_rx, h.rev_tx, caps);
   SessionConfig offer = fancy_offer();
   offer.retransmit = RetransmitPolicy::kTransportBuffered;
-  HandshakeInitiator initiator(h.loop, h.fwd_tx, h.rev_rx, offer);
+  HandshakeInitiator initiator(h.loop, h.fwd_tx, &h.rev_rx, offer);
 
   std::unique_ptr<AlfSender> sender;
   std::unique_ptr<AlfReceiver> receiver;

@@ -4,24 +4,30 @@
 // GC, admission control, shed priority), the dispatcher (create-on-first-
 // frame, unroutable accounting), the redesigned facade (open/close RAII,
 // validation, byte-identical equivalence with the hand-wired idiom), the
-// SessionConfig builder, and TSan-visible concurrent dispatch.
+// host's one demux point (associations in both directions, supervised
+// restarts and handshakes sharing one channel), the SessionConfig builder,
+// and TSan-visible concurrent dispatch.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "alf/negotiate.h"
 #include "alf/receiver.h"
 #include "alf/sender.h"
 #include "alf/session.h"
 #include "alf/wire.h"
+#include "netsim/fault.h"
 #include "netsim/net_path.h"
 #include "obs/metrics.h"
 #include "sessiond/session_table.h"
 #include "sessiond/sessiond.h"
 #include "util/result.h"
+#include "util/rng.h"
 
 namespace ngp::sessiond {
 namespace {
@@ -534,17 +540,30 @@ TEST(Sessiond, OpenRejectsInvalidConfigAndDuplicates) {
   alf::SessionConfig session;
   EXPECT_FALSE(daemon.open(session, {nullptr, nullptr, nullptr}).ok());
 
-  // Same (peer, session_id) twice is a duplicate flow; auto-peer opens of
-  // the same session id are distinct flows by design.
-  OpenOptions fixed;
-  fixed.peer = 77;
-  auto a = daemon.open(session, h.paths(), fixed);
+  // The paths an open binds keep their peer, so two opens of one session
+  // id on the same paths are one flow: the second is a duplicate, and
+  // must not take the paths over from the first.
+  auto a = daemon.open(session, h.paths());
   ASSERT_TRUE(a.ok());
-  auto b = daemon.open(session, h.paths(), fixed);
+  auto b = daemon.open(session, h.paths());
   ASSERT_FALSE(b.ok());
   EXPECT_EQ(b.error().code, ErrorCode::kDuplicate);
   auto c = daemon.open(session, h.paths());
-  EXPECT_TRUE(c.ok());
+  ASSERT_FALSE(c.ok());
+  EXPECT_EQ(c.error().code, ErrorCode::kDuplicate);
+  alf::SessionConfig other = session;
+  other.session_id = static_cast<std::uint16_t>(session.session_id + 1);
+  EXPECT_TRUE(daemon.open(other, h.paths()).ok());  // another flow
+
+  // One association cannot span two peers.
+  Harness split;
+  Sessiond daemon2(split.loop);
+  daemon2.bind(split.data, 5);
+  daemon2.bind(split.feedback_rx, 6);
+  auto d = daemon2.open(session, split.paths());
+  ASSERT_FALSE(d.ok());
+  EXPECT_EQ(d.error().code, ErrorCode::kMalformed);
+  EXPECT_EQ(daemon2.table().size(), 0u);
 }
 
 TEST(Sessiond, OpenedSessionsArePinnedAgainstIdleSweep) {
@@ -671,6 +690,439 @@ TEST(Sessiond, EvictHookAndMetricsSnapshotsAreByteIdentical) {
             std::string::npos);
 }
 
+// ---- one demux point: associations and handshakes share the dispatcher -----
+//
+// The host terminates every association and every handshake at the
+// Sessiond dispatcher. These cases cover what the deleted frame router and
+// association facade used to: per-session demux of data and feedback over
+// one channel, full duplex, and a handshake plane beside them.
+
+ByteBuffer payload_of(std::size_t n, std::uint64_t seed) {
+  ByteBuffer b(n);
+  Rng rng(seed);
+  rng.fill(b.span());
+  return b;
+}
+
+/// One DuplexChannel whose two link ends are both bound to one Sessiond
+/// under one peer: `fwd` carries client->server frames, `rev` the rest.
+struct SharedChannel {
+  EventLoop loop;
+  DuplexChannel channel;
+  LinkPath fwd;
+  LinkPath rev;
+  Sessiond daemon;
+
+  explicit SharedChannel(double loss = 0.0, std::uint64_t seed = 1)
+      : channel(loop, make_link(seed)),
+        fwd(channel.forward),
+        rev(channel.reverse),
+        daemon(loop) {
+    channel.forward.set_loss_rate(loss);
+    channel.reverse.set_loss_rate(loss);
+    daemon.bind(rev, daemon.bind(fwd));
+  }
+  static LinkConfig make_link(std::uint64_t seed) {
+    LinkConfig lc;
+    lc.bandwidth_bps = 50e6;
+    lc.propagation_delay = 3 * kMillisecond;
+    lc.queue_limit = 1 << 16;
+    lc.seed = seed;
+    return lc;
+  }
+  /// Routes every handshake frame to both drivers (each ignores the
+  /// other's kind).
+  void hook(alf::HandshakeResponder& responder,
+            alf::HandshakeInitiator& initiator) {
+    daemon.set_on_handshake([&responder, &initiator](std::uint32_t,
+                                                     ConstBytes frame) {
+      responder.handle_frame(frame);
+      initiator.handle_frame(frame);
+    });
+  }
+  /// The paths of a client->server association (up) and of a
+  /// server->client one (down).
+  SessionPaths up() { return {&fwd, &rev, &rev}; }
+  SessionPaths down() { return {&rev, &fwd, &fwd}; }
+};
+
+/// The default capabilities cut to their first `syntaxes` transfer syntaxes
+/// (raw first) and first `checksums` integrity kinds (Internet first).
+alf::Capabilities capabilities(std::size_t syntaxes, std::size_t checksums) {
+  alf::Capabilities caps;
+  caps.syntaxes.resize(syntaxes);
+  caps.checksums.resize(checksums);
+  return caps;
+}
+
+alf::SessionConfig next_session(alf::SessionConfig cfg) {
+  cfg.session_id = static_cast<std::uint16_t>(cfg.session_id + 1);
+  return cfg;
+}
+
+/// Checks every ADU an association delivers against what was sent on it.
+struct Transfer {
+  std::map<std::uint64_t, ByteBuffer> sent;
+  std::size_t got = 0;
+  bool done = false;
+
+  void watch(SessionHandle& h) {
+    h.set_on_adu([this](Adu&& adu) {
+      EXPECT_EQ(adu.payload, sent.at(adu.name.a));
+      ++got;
+    });
+    h.set_on_complete([this] { done = true; });
+  }
+  /// Sends `count` ADUs of `size` bytes on `h`, then finishes it.
+  void send(SessionHandle& h, std::uint64_t count, std::size_t size,
+            std::uint64_t seed) {
+    for (std::uint64_t i = 0; i < count; ++i) {
+      sent.emplace(i, payload_of(size, seed + i));
+      ASSERT_TRUE(h.send_adu(generic_name(i), sent.at(i).span()).ok());
+    }
+    h.finish();
+  }
+};
+
+TEST(SessiondPlane, RoutesDataAndFeedbackBySession) {
+  // Covers the deleted frame-router case RoutesDataAndFeedbackBySession:
+  // with two associations open the same way on one channel, a DATA frame
+  // reaches only its own session's receiver and a NACK only its sender.
+  SharedChannel net;
+  alf::SessionConfig cfg;
+  cfg.session_id = 1;
+  auto one = net.daemon.open(cfg, net.up());
+  auto two = net.daemon.open(next_session(cfg), net.up());
+  ASSERT_TRUE(one.ok());
+  ASSERT_TRUE(two.ok());
+  const ByteBuffer data1 = make_data_frame(1, 1);
+  const ByteBuffer data2 = make_data_frame(2, 1);
+  alf::NackMessage nack;
+  nack.session = 1;
+  nack.adu_ids = {9};
+  const ByteBuffer nack1 = alf::encode_nack(nack);
+  net.channel.forward.send(data1.span());
+  net.channel.forward.send(data2.span());
+  net.channel.reverse.send(nack1.span());
+  net.loop.run();
+
+  EXPECT_EQ(one.value().receiver().stats().fragments_received, 1u);
+  EXPECT_EQ(two.value().receiver().stats().fragments_received, 1u);
+  EXPECT_EQ(one.value().sender().stats().nacks_received, 1u);
+  EXPECT_EQ(two.value().sender().stats().nacks_received, 0u);
+  EXPECT_EQ(net.daemon.dispatcher().stats().frames_unroutable, 0u);
+}
+
+TEST(SessiondPlane, TwoConfigsShareOneLossyChannel) {
+  // Covers the deleted frame-router case TwoSessionsShareOneChannel: two
+  // associations with different integrity and FEC settings run the same
+  // way over one channel at 5% forward loss.
+  SharedChannel net(0.0, 2);
+  net.channel.forward.set_loss_rate(0.05);
+  alf::SessionConfig s1;
+  s1.session_id = 1;
+  s1.checksum = ChecksumKind::kInternet;
+  alf::SessionConfig s2;
+  s2.session_id = 2;
+  s2.checksum = ChecksumKind::kCrc32;
+  s2.fec_k = 4;
+  auto one = net.daemon.open(s1, net.up());
+  auto two = net.daemon.open(s2, net.up());
+  ASSERT_TRUE(one.ok());
+  ASSERT_TRUE(two.ok());
+  Transfer t1, t2;
+  t1.watch(one.value());
+  t2.watch(two.value());
+  t1.send(one.value(), 20, 2000, 100);
+  t2.send(two.value(), 20, 3000, 200);
+  net.loop.run();
+
+  EXPECT_EQ(t1.got, 20u);
+  EXPECT_EQ(t2.got, 20u);
+  EXPECT_TRUE(t1.done);
+  EXPECT_TRUE(t2.done);
+  EXPECT_GT(two.value().sender().stats().fec_parity_sent, 0u);
+}
+
+TEST(SessiondPlane, FullDuplexTransferOverOneChannel) {
+  // Covers the deleted frame-router case FullDuplexTransferOverOneChannel:
+  // one association each way at once, so each link carries one
+  // direction's data and the other direction's feedback.
+  SharedChannel net(0.0, 3);
+  alf::SessionConfig ab;
+  ab.session_id = 1;
+  auto to_b = net.daemon.open(ab, net.up());
+  auto to_a = net.daemon.open(next_session(ab), net.down());
+  ASSERT_TRUE(to_b.ok());
+  ASSERT_TRUE(to_a.ok());
+  Transfer tb, ta;
+  tb.watch(to_b.value());
+  ta.watch(to_a.value());
+  tb.send(to_b.value(), 1, 15'000, 1);
+  ta.send(to_a.value(), 1, 11'000, 2);
+  net.loop.run();
+
+  EXPECT_EQ(tb.got, 1u);
+  EXPECT_EQ(ta.got, 1u);
+  EXPECT_TRUE(tb.done);
+  EXPECT_TRUE(ta.done);
+}
+
+TEST(SessiondPlane, OpensOnAgreementAndRepliesTheOtherWay) {
+  // Covers the deleted association case EstablishesAndExchangesBothWays:
+  // handshake, open one association each way on agreement, and answer
+  // the client's ADU on the server->client association.
+  SharedChannel net;
+  alf::HandshakeResponder responder(net.loop, nullptr, net.rev,
+                                    alf::Capabilities{});
+  alf::SessionConfig offer;
+  offer.session_id = 10;
+  alf::HandshakeInitiator initiator(net.loop, net.fwd, nullptr, offer);
+  net.hook(responder, initiator);
+
+  const ByteBuffer to_server = payload_of(12'000, 1);
+  const ByteBuffer to_client = payload_of(9'000, 2);
+  SessionHandle up, down;
+  int server_got = 0, client_got = 0;
+  responder.set_on_session([&](const alf::SessionConfig& agreed) {
+    auto u = net.daemon.open(agreed, net.up());
+    auto d = net.daemon.open(next_session(agreed), net.down());
+    ASSERT_TRUE(u.ok());
+    ASSERT_TRUE(d.ok());
+    up = std::move(u.value());
+    down = std::move(d.value());
+    up.set_on_adu([&](Adu&& adu) {
+      EXPECT_EQ(adu.payload, to_server);
+      ++server_got;
+      ASSERT_TRUE(down.send_adu(generic_name(77), to_client.span()).ok());
+      down.finish();
+    });
+    down.set_on_adu([&](Adu&& adu) {
+      EXPECT_EQ(adu.payload, to_client);
+      EXPECT_EQ(adu.name, generic_name(77));
+      ++client_got;
+    });
+  });
+  initiator.set_on_done([&](Result<alf::SessionConfig> agreed) {
+    ASSERT_TRUE(agreed.ok());
+    ASSERT_TRUE(up.valid());
+    ASSERT_TRUE(up.send_adu(generic_name(1), to_server.span()).ok());
+    up.finish();
+  });
+  initiator.start();
+  net.loop.run();
+
+  EXPECT_EQ(server_got, 1);
+  EXPECT_EQ(client_got, 1);
+}
+
+TEST(SessiondPlane, TwoAssociationsAndTheirHandshakeShareOneLossyChannel) {
+  // Covers the deleted association case BulkBidirectionalUnderLoss:
+  // handshake, then 25 ADUs on one association each way, at 5% loss both
+  // ways over one channel.
+  SharedChannel net(0.05, 9);
+  alf::HandshakeResponder responder(net.loop, nullptr, net.rev,
+                                    alf::Capabilities{});
+  alf::SessionConfig offer;
+  offer.session_id = 10;
+  offer.nack_delay = 10 * kMillisecond;
+  alf::HandshakeInitiator initiator(net.loop, net.fwd, nullptr, offer);
+  net.hook(responder, initiator);
+
+  SessionHandle up, down;
+  Transfer to_server, to_client;
+  responder.set_on_session([&](const alf::SessionConfig& agreed) {
+    auto u = net.daemon.open(agreed, net.up());
+    auto d = net.daemon.open(next_session(agreed), net.down());
+    ASSERT_TRUE(u.ok());
+    ASSERT_TRUE(d.ok());
+    up = std::move(u.value());
+    down = std::move(d.value());
+    to_server.watch(up);
+    to_client.watch(down);
+    to_client.send(down, 25, 2000, 200);
+  });
+  initiator.set_on_done([&](Result<alf::SessionConfig> agreed) {
+    ASSERT_TRUE(agreed.ok());
+    ASSERT_TRUE(up.valid());
+    to_server.send(up, 25, 3000, 100);
+  });
+  initiator.start();
+  net.loop.run();
+
+  EXPECT_EQ(to_server.got, 25u);
+  EXPECT_EQ(to_client.got, 25u);
+  EXPECT_TRUE(to_server.done);
+  EXPECT_TRUE(to_client.done);
+  EXPECT_GT(up.receiver().stats().nacks_sent + down.receiver().stats().nacks_sent,
+            0u);  // the loss was real, and recovery crossed the shared plane
+  const Dispatcher::Stats ds = net.daemon.dispatcher().stats();
+  EXPECT_EQ(ds.frames_unroutable, 0u);
+  EXPECT_EQ(ds.frames_routed, ds.frames_dispatched);
+  EXPECT_EQ(net.daemon.table().size(), 2u);
+}
+
+TEST(SessiondPlane, HandshakeRefusalReportedThroughTheHook) {
+  // Covers the deleted association case RefusalReportedToInitiator.
+  SharedChannel net;
+  alf::HandshakeResponder responder(net.loop, nullptr, net.rev,
+                                    capabilities(/*syntaxes=*/1, /*checksums=*/4));
+  alf::SessionConfig offer;
+  offer.syntax = TransferSyntax::kBer;  // unsupported by the server
+  alf::HandshakeInitiator initiator(net.loop, net.fwd, nullptr, offer);
+  net.hook(responder, initiator);
+  Result<alf::SessionConfig> result(Error{ErrorCode::kNotFound, {}});
+  initiator.set_on_done([&](Result<alf::SessionConfig> r) { result = std::move(r); });
+  initiator.start();
+  net.loop.run();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().code, ErrorCode::kUnsupported);
+  EXPECT_FALSE(responder.have_session());
+  EXPECT_EQ(net.daemon.table().size(), 0u);  // nothing to open
+}
+
+TEST(SessiondPlane, NegotiatedDowngradeVisibleInOpenedConfig) {
+  // Covers the deleted association case NegotiatedDowngradeVisibleInConfig.
+  SharedChannel net;
+  // Unkeyed, and no CRC-32: Internet and Fletcher-32 only.
+  alf::HandshakeResponder responder(net.loop, nullptr, net.rev,
+                                    capabilities(/*syntaxes=*/4, /*checksums=*/2));
+  alf::SessionConfig offer;
+  offer.checksum = ChecksumKind::kCrc32;
+  offer.encrypt = true;
+  offer.key.key[0] = 1;
+  alf::HandshakeInitiator initiator(net.loop, net.fwd, nullptr, offer);
+  net.hook(responder, initiator);
+  SessionHandle up;
+  std::size_t got = 0;
+  responder.set_on_session([&](const alf::SessionConfig& agreed) {
+    auto u = net.daemon.open(agreed, net.up());
+    ASSERT_TRUE(u.ok());
+    up = std::move(u.value());
+    up.set_on_adu([&](Adu&&) { ++got; });
+  });
+  alf::SessionConfig client_view;
+  initiator.set_on_done([&](Result<alf::SessionConfig> agreed) {
+    ASSERT_TRUE(agreed.ok());
+    client_view = *agreed;
+    const ByteBuffer b = payload_of(1500, 5);
+    ASSERT_TRUE(up.send_adu(generic_name(1), b.span()).ok());
+    up.finish();
+  });
+  initiator.start();
+  net.loop.run();
+  EXPECT_EQ(client_view.checksum, ChecksumKind::kFletcher32);
+  EXPECT_FALSE(client_view.encrypt);
+  EXPECT_EQ(up.sender().config().checksum, ChecksumKind::kFletcher32);
+  EXPECT_FALSE(up.sender().config().encrypt);
+  EXPECT_EQ(got, 1u);
+}
+
+TEST(SessiondPlane, StrayCorruptAndUnhookedHandshakeFramesCountUnroutable) {
+  // Covers the deleted frame-router case UnroutableAndUndecodableCounted:
+  // with an association open on session 1, frames for no session, frames
+  // with a damaged prefix, and handshake frames with no handshake route
+  // are all dropped at the demux point and counted.
+  SharedChannel net;
+  auto a = net.daemon.open(alf::SessionConfig{}, net.up());
+  ASSERT_TRUE(a.ok());
+
+  const ByteBuffer stray = make_data_frame(5, 1);
+  ByteBuffer bad_type = make_data_frame(a.value().flow().session_id, 1);
+  bad_type[1] = 0x7F;
+  const ByteBuffer truncated(ConstBytes(make_data_frame(1, 1).span()).first(3));
+  const ByteBuffer garbage = ByteBuffer::from_string("garbage frame");
+  const ByteBuffer offer = alf::encode_offer(alf::SessionConfig{});
+  for (const ByteBuffer* f :
+       std::initializer_list<const ByteBuffer*>{&stray, &bad_type, &truncated,
+                                                &garbage, &offer}) {
+    net.channel.forward.send(f->span());
+  }
+  net.loop.run();
+  const Dispatcher::Stats ds = net.daemon.dispatcher().stats();
+  EXPECT_EQ(ds.frames_unroutable, 5u);
+  EXPECT_EQ(ds.frames_routed, 0u);
+  EXPECT_EQ(a.value().receiver().stats().adus_delivered, 0u);
+}
+
+TEST(SessiondPlane, HandshakeFramesTakeOnlyTheHookRoute) {
+  // Covers the deleted frame-router case HandshakePlaneSeparated: an offer
+  // reaches the handshake hook, and only it, with the peer its channel is
+  // bound under; garbage beside it stays unroutable.
+  SharedChannel net;
+  auto a = net.daemon.open(alf::SessionConfig{}, net.up());
+  ASSERT_TRUE(a.ok());
+  int handshakes = 0;
+  net.daemon.set_on_handshake([&](std::uint32_t peer, ConstBytes frame) {
+    EXPECT_EQ(peer, a.value().flow().peer);
+    EXPECT_TRUE(alf::decode_offer(frame).ok());
+    ++handshakes;
+  });
+  const ByteBuffer offer = alf::encode_offer(alf::SessionConfig{});
+  const ByteBuffer garbage = ByteBuffer::from_string("garbage frame");
+  net.channel.forward.send(offer.span());
+  net.channel.forward.send(garbage.span());
+  net.loop.run();
+  const Dispatcher::Stats ds = net.daemon.dispatcher().stats();
+  EXPECT_EQ(handshakes, 1);
+  EXPECT_EQ(ds.frames_routed, 1u);
+  EXPECT_EQ(ds.frames_unroutable, 1u);
+  EXPECT_EQ(a.value().receiver().stats().fragments_received, 0u);
+}
+
+TEST(SessiondPlane, SupervisedAssociationOnASharedChannelSurvivesARestart) {
+  // The deleted frame router dropped RESUME and PROBE frames as
+  // undecodable, so a supervised association could not share a demuxed
+  // channel. Here one does, beside a plain association running the other
+  // way: an outage on the forward link outlasts the stall watchdog, the
+  // supervisor restarts, and its RESUME reaches the sender through the
+  // dispatcher.
+  EventLoop loop;
+  DuplexChannel channel(loop, SharedChannel::make_link(3));
+  LinkPath raw_fwd(channel.forward);
+  FaultPlan plan;
+  plan.seed = 99;
+  plan.scheduled_outages.push_back({3 * kMillisecond, 800 * kMillisecond});
+  FaultyPath fwd(loop, raw_fwd, plan);
+  LinkPath rev(channel.reverse);
+  Sessiond daemon(loop);
+  daemon.bind(rev, daemon.bind(fwd));
+
+  OpenOptions opts;
+  opts.supervised = true;
+  opts.supervisor.restart_backoff = 50 * kMillisecond;
+  opts.supervisor.seed = 42;
+  alf::SessionConfig up_cfg;
+  up_cfg.session_id = 1;
+  up_cfg.stall_timeout = 400 * kMillisecond;
+  up_cfg.nack_delay = 10 * kMillisecond;
+  up_cfg.nack_retry = 20 * kMillisecond;
+  up_cfg.max_nacks = 30;
+  auto up = daemon.open(up_cfg, {&fwd, &rev, &rev}, opts);
+  alf::SessionConfig down_cfg;
+  down_cfg.session_id = 2;
+  auto down = daemon.open(down_cfg, {&rev, &fwd, &fwd});
+  ASSERT_TRUE(up.ok());
+  ASSERT_TRUE(down.ok());
+
+  Transfer to_b, to_a;
+  to_b.watch(up.value());
+  to_a.watch(down.value());
+  to_b.send(up.value(), 20, 4000, 1000);
+  to_a.send(down.value(), 5, 1000, 2000);
+  loop.run();
+
+  resilience::SessionSupervisor* sup = up.value().supervisor();
+  ASSERT_NE(sup, nullptr);
+  EXPECT_EQ(sup->state(), resilience::SupervisorState::kCompleted);
+  EXPECT_GE(sup->stats().restarts, 1u);
+  EXPECT_GE(up.value().sender().stats().resumes_received, 1u);
+  EXPECT_TRUE(to_b.done);
+  EXPECT_EQ(to_b.got, 20u);
+  EXPECT_TRUE(to_a.done);
+  EXPECT_EQ(to_a.got, 5u);
+}
+
 // ---- locking & admission regressions ---------------------------------------
 
 /// Erases its own flow the moment a frame arrives — the table must accept
@@ -778,15 +1230,13 @@ TEST(Sessiond, FailedOpenLeavesResidentSessionLive) {
   Harness h;
   Sessiond daemon(h.loop);
   alf::SessionConfig session;
-  OpenOptions fixed;
-  fixed.peer = 77;
-  auto a = daemon.open(session, h.paths(), fixed);
+  auto a = daemon.open(session, h.paths());
   ASSERT_TRUE(a.ok());
 
-  // A duplicate open must fail WITHOUT touching the shared paths: open()
-  // used to construct endpoints first, which re-registered (then, on the
-  // rejected insert, orphaned) the very handlers session `a` lives on.
-  ASSERT_FALSE(daemon.open(session, h.paths(), fixed).ok());
+  // A duplicate open must fail WITHOUT disturbing session `a`: open() used
+  // to construct endpoints first, which re-registered (then, on the
+  // rejected insert, orphaned) the very handlers session `a` lived on.
+  ASSERT_FALSE(daemon.open(session, h.paths()).ok());
   EXPECT_EQ(daemon.table().size(), 1u);
 
   // The resident association still works end to end.
@@ -809,14 +1259,15 @@ TEST(Sessiond, CloseWithFramesInFlightIsSafe) {
   auto handle = daemon.open(session, h.paths());
   ASSERT_TRUE(handle.ok());
 
-  // Close while frames are still in the simulated pipe: the destroyed
-  // endpoints unregister their path handlers, so late deliveries drop on
-  // a handlerless path instead of calling into freed objects.
+  // Close while frames are still in the simulated pipe: late deliveries
+  // reach the dispatcher, find no session and drop, instead of calling
+  // into freed endpoints.
   ByteBuffer payload(256);
   ASSERT_TRUE(handle.value().send_adu(generic_name(1), payload.span()).ok());
   handle.value().close();
   EXPECT_EQ(daemon.table().size(), 0u);
   h.loop.run();
+  EXPECT_GT(daemon.dispatcher().stats().frames_unroutable, 0u);
 }
 
 TEST(Sessiond, FactorySessionMayEraseItselfOnComplete) {
